@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "core/experiment.hpp"
-#include "sim/lp_cluster.hpp"
 #include "sim/resource.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/task.hpp"
@@ -107,72 +106,6 @@ void BM_QueueDepth(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * depth * 10);
 }
 BENCHMARK(BM_QueueDepth)->Arg(100)->Arg(1000)->Arg(10000)->Arg(100000);
-
-// LP-cluster scenario (sim/lp_cluster.hpp): N node LPs against a shared
-// lock-engine LP, per-node buffer working sets behind every local request.
-// The three benches run the *identical* model — same event counts, same
-// checksum — on the three kernels, so items_per_second ratios are direct
-// event-throughput speedups:
-//   BM_ClusterFlat       one global Scheduler (the pre-engine architecture)
-//   BM_ClusterEngineSeq  safe-window engine, Sequential kind
-//   BM_ParallelEngine    safe-window engine, Parallel kind, 4 workers
-// The engine's per-LP decomposition wins twice over the flat queue even on
-// one core: each LP's event heap stays shallow (mpl vs nodes*mpl entries),
-// and a window drains one LP at a time, keeping a single node's working set
-// cache-resident where the flat queue interleaves all nodes event-by-event.
-// Worker threads add wall-clock parallelism on top on multi-core hosts.
-LpClusterConfig cluster_config(int nodes) {
-  LpClusterConfig c;
-  c.nodes = nodes;
-  c.mpl = 256;
-  c.txns_per_node = 1024;
-  c.requests_per_txn = 8;
-  c.remote_fraction = 0.02;
-  c.msg_latency = msec(1);
-  c.server_ports = 16;
-  c.working_set_kb = 384;
-  c.chase_len = 16;
-  return c;
-}
-
-void BM_ClusterFlat(benchmark::State& state) {
-  const LpClusterConfig cfg = cluster_config(static_cast<int>(state.range(0)));
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    const LpClusterResult r = run_lp_cluster_single_queue(cfg);
-    events = r.events;
-    benchmark::DoNotOptimize(r.checksum);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(events));
-}
-BENCHMARK(BM_ClusterFlat)->ArgName("nodes")->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
-
-void BM_ClusterEngineSeq(benchmark::State& state) {
-  LpClusterConfig cfg = cluster_config(static_cast<int>(state.range(0)));
-  cfg.kind = EngineKind::Sequential;
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    const LpClusterResult r = run_lp_cluster(cfg);
-    events = r.events;
-    benchmark::DoNotOptimize(r.checksum);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(events));
-}
-BENCHMARK(BM_ClusterEngineSeq)->ArgName("nodes")->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
-
-void BM_ParallelEngine(benchmark::State& state) {
-  LpClusterConfig cfg = cluster_config(static_cast<int>(state.range(0)));
-  cfg.kind = EngineKind::Parallel;
-  cfg.workers = 4;
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    const LpClusterResult r = run_lp_cluster(cfg);
-    events = r.events;
-    benchmark::DoNotOptimize(r.checksum);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(events));
-}
-BENCHMARK(BM_ParallelEngine)->ArgName("nodes")->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 // Sharded-GLT throughput: the full System model on a GLT-bound debit-credit
 // configuration (GEM entry ops at 100 us dominate), swept over gem_shards

@@ -132,11 +132,13 @@ const KeyDef kSystemKeys[] = {
     {"nodes",
      [](SystemConfig& c, const std::string& v, int l) {
        c.nodes = parse_int(v, l);
+       if (c.nodes < 1) fail(l, "nodes must be >= 1");
      },
      [](const SystemConfig& c) { return fmt_int(c.nodes); }},
     {"tps",
      [](SystemConfig& c, const std::string& v, int l) {
        c.arrival_rate_per_node = parse_num(v, l);
+       if (!(c.arrival_rate_per_node > 0)) fail(l, "tps must be > 0");
      },
      [](const SystemConfig& c) { return fmt_num(c.arrival_rate_per_node); }},
     {"coupling",
@@ -178,11 +180,13 @@ const KeyDef kSystemKeys[] = {
     {"buffer",
      [](SystemConfig& c, const std::string& v, int l) {
        c.buffer_pages = parse_int(v, l);
+       if (c.buffer_pages < 1) fail(l, "buffer must be >= 1");
      },
      [](const SystemConfig& c) { return fmt_int(c.buffer_pages); }},
     {"mpl",
      [](SystemConfig& c, const std::string& v, int l) {
        c.mpl = parse_int(v, l);
+       if (c.mpl < 1) fail(l, "mpl must be >= 1");
      },
      [](const SystemConfig& c) { return fmt_int(c.mpl); }},
     {"warmup",

@@ -43,10 +43,6 @@ RunResult run_trace(const SystemConfig& cfg, const workload::Trace& trace);
 ///                      (filtered events never enter the ring, so they don't
 ///                      count as dropped)
 ///   --audit            online invariant auditors (fail fast on violation)
-///   --engine-profile[=F]       wall-clock engine parallelism profile of the
-///                      --trace-run sweep point (gemsd.engprof.v1 JSON)
-///   --engine-profile-trace=F   Perfetto/Chrome wall-clock timeline of the
-///                      profiled windows
 ///   --progress[=SECS]  stderr JSONL heartbeat every SECS wall seconds
 ///   --timeseries[=F]   per-window time series of the --trace-run sweep
 ///                      point (gemsd.timeseries.v1 JSON; analyze with
@@ -76,12 +72,6 @@ struct BenchOptions {
   std::size_t trace_capacity = std::size_t{1} << 18;
   std::string trace_filter;  ///< regex on event names ("" = everything)
   bool audit = false;
-  /// Engine parallelism profiler (obs/engprof.hpp): profiles the same sweep
-  /// point --trace selects (trace_run). Wall-clock observation only —
-  /// simulated results are unaffected.
-  bool engine_profile = false;
-  std::string engine_profile_file;   ///< "" = results/ENGPROF_<bench>.json
-  std::string engine_profile_trace;  ///< timeline file ("" = not written)
   double progress_every_s = 0.0;     ///< heartbeat period [wall s] (0 = off)
   /// Per-window time series (obs/timeseries.hpp) of the --trace-run sweep
   /// point. Pure observation — metrics are byte-identical on/off.
@@ -92,11 +82,20 @@ struct BenchOptions {
   /// sweep point. Pure observation — metrics are byte-identical on/off.
   bool resources = false;
   std::string resources_file;        ///< "" = results/RESOURCES_<bench>.json
-  /// Event-kernel backend (sim/engine.hpp). Pure execution policy: results
-  /// are identical for both kinds and any worker count.
-  sim::EngineKind engine = sim::EngineKind::Sequential;
-  int engine_workers = 0;  ///< parallel workers per run (0 = hw concurrency)
 };
+
+/// "--flag=value": true iff `a` starts with `flag` followed by '=', and then
+/// `out` holds the value.
+bool value_of(const std::string& a, const char* flag, std::string& out);
+
+/// Strict numeric flag values: true iff all of `v` parses (no trailing
+/// characters, not empty); `out` is unspecified on failure. to_int also
+/// rejects fractional and out-of-range values, to_u64 negative ones. Every
+/// command-line front end uses these.
+bool to_double(const std::string& v, double& out);
+bool to_int(const std::string& v, int& out);
+bool to_u64(const std::string& v, std::uint64_t& out);
+
 /// Parse the shared flags into `o`. Returns "" on success, or an error
 /// message for an unknown flag or a malformed value ("--warmup 5" space
 /// form included — every value flag takes `=`). `o` is left with whatever
@@ -115,8 +114,8 @@ BenchOptions parse_bench_args(int argc, char** argv);
 /// Names of the debit-credit partitions (report columns).
 std::vector<std::string> debit_credit_partition_names();
 
-/// Stamp the result-neutral options on every config of a sweep: the engine
-/// backend on all points; sampler and slow-transaction log on all points;
+/// Stamp the result-neutral options on every config of a sweep: sampler and
+/// slow-transaction log on all points;
 /// the trace ring only on the --trace-run point (and only when --trace was
 /// given).
 void apply_obs_options(std::vector<SystemConfig>& cfgs,
@@ -153,14 +152,6 @@ std::string write_bench_json(const std::string& bench,
 /// Returns the path written, or "" when tracing was off.
 std::string write_trace_file(const BenchOptions& opt,
                              const std::vector<BenchRun>& runs);
-
-/// Write the engine parallelism profile of the profiled sweep point when
-/// --engine-profile was given: the gemsd.engprof.v1 document (first return
-/// value) and, when --engine-profile-trace=F was also given, the wall-clock
-/// Perfetto timeline (second). Empty strings when off or nothing profiled.
-std::pair<std::string, std::string> write_engprof_files(
-    const std::string& bench, const BenchOptions& opt,
-    const std::vector<BenchRun>& runs);
 
 /// Write the time series of the recorded sweep point when --timeseries was
 /// given: the gemsd.timeseries.v1 document. Returns the path written, or ""

@@ -281,7 +281,6 @@ void emit_scenario(const Scenario& sc, const BenchOptions& opt,
       write_bench_json(sc.name, sc.caption, jopt, res.runs,
                        plan.partition_names);
   const std::string trace_path = write_trace_file(jopt, res.runs);
-  const auto engprof_paths = write_engprof_files(sc.name, jopt, res.runs);
   const std::string ts_path = write_timeseries_file(sc.name, jopt, res.runs);
   const std::string res_path = write_resources_file(sc.name, jopt, res.runs);
 
@@ -325,12 +324,6 @@ void emit_scenario(const Scenario& sc, const BenchOptions& opt,
   }
   if (!json_path.empty()) std::printf("results: %s\n", json_path.c_str());
   if (!trace_path.empty()) std::printf("trace: %s\n", trace_path.c_str());
-  if (!engprof_paths.first.empty()) {
-    std::printf("engine profile: %s\n", engprof_paths.first.c_str());
-  }
-  if (!engprof_paths.second.empty()) {
-    std::printf("engine timeline: %s\n", engprof_paths.second.c_str());
-  }
   if (!ts_path.empty()) {
     std::printf("timeseries: %s\n", ts_path.c_str());
   }

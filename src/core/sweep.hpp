@@ -14,10 +14,8 @@ struct Trace;
 }
 
 /// Executes a sweep of independent, deterministic simulations on a
-/// fixed-size thread pool. Each run owns its own Engine/System/Rng (every
-/// Scheduler stays strictly single-threaded — within a run, parallelism
-/// exists only across logical processes under the safe-window engine,
-/// sim/engine.hpp), so a sweep of N configurations produces bit-identical
+/// fixed-size thread pool. Each run owns its own System/Scheduler/Rng and
+/// runs on one thread, so a sweep of N configurations produces bit-identical
 /// results at any job count, and results always come back in submission
 /// order: tables and CSV output are byte-identical to the serial path.
 ///

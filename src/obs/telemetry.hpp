@@ -12,7 +12,6 @@
 
 namespace gemsd::obs {
 
-struct EngProfile;
 struct TsSeries;
 struct ResourceSet;
 
@@ -112,12 +111,8 @@ struct RunTelemetry {
   std::vector<TraceEvent> events;    ///< measurement-interval trace
   std::uint64_t events_dropped = 0;  ///< overwritten in the ring
 
-  /// Engine parallelism profile (--engine-profile; null when off). Wall-clock
-  /// measurements of the engine itself — the only nondeterministic telemetry.
-  std::shared_ptr<const EngProfile> engprof;
-
   /// Per-window time series (--timeseries; null when off). Simulation-time
-  /// deterministic: bit-identical across engine kinds and worker counts.
+  /// deterministic: identical at any `--jobs`.
   std::shared_ptr<const TsSeries> timeseries;
 
   /// Per-resource queueing snapshot (--resources; null when off). Read from

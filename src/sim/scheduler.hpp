@@ -25,10 +25,8 @@ namespace gemsd::sim {
 /// allocator.
 ///
 /// A Scheduler is strictly single-threaded: no two threads may touch it at
-/// the same time. Parallelism is across Scheduler instances — one per
-/// simulation run (core/sweep.hpp), or one per logical process within a run
-/// under the safe-window engine (sim/engine.hpp), which guarantees each LP's
-/// scheduler runs on exactly one thread per window.
+/// the same time. Parallelism is across Scheduler instances, one per
+/// simulation run (core/sweep.hpp).
 class Scheduler {
  public:
   Scheduler() { heap_.reserve(kInitialHeapCapacity); }
@@ -54,16 +52,8 @@ class Scheduler {
   /// Process events with timestamp <= end; then advance now to end.
   /// Returns the number of events processed.
   std::uint64_t run_until(SimTime end);
-  /// Process events with timestamp strictly < end; now stays at the last
-  /// processed event (the clock may only move forward to times whose events
-  /// have run). The safe-window engine's workhorse: events at or beyond the
-  /// window horizon may still be affected by other LPs' messages.
-  std::uint64_t run_before(SimTime end);
   /// Process all remaining events. Returns the number processed.
   std::uint64_t run_all();
-
-  /// Timestamp of the next pending event, or +infinity when idle.
-  SimTime next_time() const;
 
   bool empty() const { return heap_.empty(); }
   std::size_t queued_events() const { return heap_.size(); }

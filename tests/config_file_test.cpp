@@ -103,6 +103,39 @@ TEST(RunSpec, ErrorsCarryLineNumbers) {
   }
 }
 
+// Each of these values breaks a run (buffer = 0 never makes progress,
+// mpl = 0 and tps = 0 measure nothing, nodes = 0 fails deep inside the shard
+// map), so each is refused at its line, naming the key.
+void expect_rejected(const std::string& text, const std::string& what) {
+  try {
+    parse(text);
+    FAIL() << "expected '" << what << "' to be rejected";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("line 2"), std::string::npos) << msg;
+    EXPECT_NE(msg.find(what), std::string::npos) << msg;
+  }
+}
+
+TEST(RunSpec, RejectsZeroNodes) {
+  expect_rejected("[system]\nnodes = 0\n", "nodes must be >= 1");
+  expect_rejected("[run]\nnodes = -3\n", "nodes must be >= 1");
+}
+
+TEST(RunSpec, RejectsZeroBuffer) {
+  expect_rejected("[system]\nbuffer = 0\n", "buffer must be >= 1");
+}
+
+TEST(RunSpec, RejectsZeroMpl) {
+  expect_rejected("[system]\nmpl = 0\n", "mpl must be >= 1");
+}
+
+TEST(RunSpec, RejectsNonPositiveTps) {
+  expect_rejected("[system]\ntps = 0\n", "tps must be > 0");
+  expect_rejected("[system]\ntps = -5\n", "tps must be > 0");
+  expect_rejected("[system]\ntps = nan\n", "tps must be > 0");
+}
+
 TEST(RunSpec, ShippedSpecsParse) {
   // The specs/ directory must stay in sync with the parser.
   const std::string bases[] = {"specs/", "../specs/", "../../specs/"};

@@ -2,7 +2,8 @@
 // ring, Chrome trace-event export (golden bytes), config fingerprints, and —
 // the properties the whole subsystem is built around — observation does not
 // perturb the simulation, and traces/samples are bit-identical at any --jobs
-// value.
+// value — plus the --progress heartbeat and the scheduler counters in the
+// detail dump.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,6 +16,7 @@
 #include "obs/json.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
+#include "sim/scheduler.hpp"
 
 namespace gemsd {
 namespace {
@@ -401,6 +403,61 @@ TEST(Observation, TxnPhaseTotalsReconcileWithReportedBreakdown) {
       << cc * per_txn_ms << " vs " << r.brk_cc_ms;
   EXPECT_TRUE(within_1pct(queue * per_txn_ms, r.brk_queue_ms))
       << queue * per_txn_ms << " vs " << r.brk_queue_ms;
+}
+
+// The scheduler's own counters land in the detail dump and read the same
+// values the scheduler reports.
+TEST(Observation, DetailCarriesSchedulerCounters) {
+  SystemConfig cfg = quick_config();
+  System sys(cfg, make_debit_credit_workload(cfg));
+  sys.start_source();
+  sys.run_until(cfg.warmup);
+  sys.reset_stats();
+  sys.run_until(cfg.warmup + cfg.measure);
+  const RunResult r = sys.collect();
+  ASSERT_TRUE(r.telemetry);
+  double events = -1, maxq = -1, queued = -1;
+  for (const auto& kv : r.telemetry->detail) {
+    if (kv.first == "sched.events") events = kv.second;
+    if (kv.first == "sched.max_queue_depth") maxq = kv.second;
+    if (kv.first == "sched.queued_events") queued = kv.second;
+  }
+  EXPECT_GT(events, 0);
+  EXPECT_EQ(events, static_cast<double>(sys.scheduler().events_processed()));
+  EXPECT_GT(maxq, 0);
+  EXPECT_EQ(maxq, static_cast<double>(sys.scheduler().max_queued()));
+  EXPECT_GE(maxq, queued);
+}
+
+// ------------------------------------------------------ progress heartbeat
+
+TEST(Progress, SchedulerHookFiresEveryNEvents) {
+  sim::Scheduler s;
+  int fired = 0;
+  s.set_progress_hook([&] { ++fired; }, 10);
+  for (int i = 0; i < 25; ++i) {
+    s.schedule_call(0.001 * (i + 1), [] {});
+  }
+  s.run_until(1.0);
+  EXPECT_EQ(fired, 2);  // after events 10 and 20
+}
+
+// The heartbeat never perturbs results: a period that can't elapse still
+// installs the hook on the hot path, and the whole detail dump stays
+// identical.
+TEST(Progress, HeartbeatDoesNotPerturbMetrics) {
+  SystemConfig cfg = quick_config();
+  cfg.warmup = 0.1;
+  cfg.measure = 0.4;
+  const RunResult off = run_debit_credit(cfg);
+  cfg.obs.progress_every_s = 3600.0;
+  const RunResult on = run_debit_credit(cfg);
+  EXPECT_EQ(on.commits, off.commits);
+  EXPECT_DOUBLE_EQ(on.throughput, off.throughput);
+  EXPECT_DOUBLE_EQ(on.resp_ms, off.resp_ms);
+  EXPECT_DOUBLE_EQ(on.cpu_util, off.cpu_util);
+  ASSERT_TRUE(on.telemetry && off.telemetry);
+  EXPECT_EQ(on.telemetry->detail, off.telemetry->detail);
 }
 
 }  // namespace

@@ -6,9 +6,9 @@
 // ranking and asymptotic throughput bound, the gemsd.resources.v1 document
 // (schema, byte-exact round trip), per-shard gating in --compare, and the
 // two contracts the layer rests on — metrics untouched with the recorder on
-// or off, and the exported document bit-identical across engine kinds and
-// worker counts on a shipped spec. Suite names start with "Resource" so the
-// TSan CI job covers the parallel-engine path.
+// or off, and the exported document identical at any --jobs on a shipped
+// spec. Suite names start with "Resource" so the TSan CI job covers the
+// sweep-pool path.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -21,6 +21,7 @@
 #include "core/config.hpp"
 #include "core/config_file.hpp"
 #include "core/experiment.hpp"
+#include "core/sweep.hpp"
 #include "core/system.hpp"
 #include "obs/analyze.hpp"
 #include "obs/json.hpp"
@@ -385,7 +386,6 @@ TEST(ResourceSystem, RecorderOnOffMetricsIdentical) {
     const auto& a = on.telemetry->detail[i];
     const auto& b = off.telemetry->detail[i];
     EXPECT_EQ(a.first, b.first);
-    if (a.first == "engine.wall_events_per_s") continue;
     EXPECT_DOUBLE_EQ(a.second, b.second) << a.first;
   }
 
@@ -430,35 +430,39 @@ TEST(ResourceSystem, PerShardRowsMatchShardCount) {
   EXPECT_EQ(two.gem_shards[0].completions, set.rows[s0].completions);
 }
 
-// The acceptance contract: the v1 document is bit-identical between the
-// sequential and parallel engines at 1/2/4 workers on a shipped spec.
-TEST(ResourceSystem, DocumentIdenticalAcrossEnginesOnShippedSpec) {
+// The acceptance contract: the v1 document is identical at any --jobs on a
+// shipped spec. Every point of the sweep records, so the pooled run has
+// recorders live on several threads at once.
+TEST(ResourceSystem, DocumentIdenticalAtAnyJobCount) {
   const std::string path =
       std::string(GEMSD_SOURCE_DIR) + "/specs/fig_4_1.ini";
   if (!std::filesystem::exists(path)) GTEST_SKIP() << "specs/ not reachable";
   const SpecDoc doc = parse_spec_doc_file(path);
-  ASSERT_FALSE(doc.runs.empty());
+  ASSERT_GE(doc.runs.size(), 3u);
 
-  auto run_recorded = [&](sim::EngineKind kind, int workers) {
-    SystemConfig cfg = doc.runs[0].cfg;
+  std::vector<SystemConfig> cfgs;
+  for (std::size_t i = 0; i < 3; ++i) {
+    SystemConfig cfg = doc.runs[i].cfg;
     cfg.warmup = 0.1;
     cfg.measure = 0.4;
     cfg.obs.resources = true;
-    cfg.engine.kind = kind;
-    cfg.engine.workers = workers;
-    const RunResult r = run_debit_credit(cfg);
-    EXPECT_TRUE(r.telemetry && r.telemetry->resources);
-    return r.telemetry && r.telemetry->resources
-               ? obs::resources_json(*r.telemetry->resources, {})
-               : std::string();
+    cfgs.push_back(cfg);
+  }
+  auto documents = [&](int jobs) {
+    std::vector<std::string> out;
+    for (const RunResult& r : SweepRunner(jobs).run_debit_credit(cfgs)) {
+      EXPECT_TRUE(r.telemetry && r.telemetry->resources);
+      out.push_back(r.telemetry && r.telemetry->resources
+                        ? obs::resources_json(*r.telemetry->resources, {})
+                        : std::string());
+    }
+    return out;
   };
 
-  const std::string seq = run_recorded(sim::EngineKind::Sequential, 0);
-  ASSERT_FALSE(seq.empty());
-  for (const int workers : {1, 2, 4}) {
-    EXPECT_EQ(run_recorded(sim::EngineKind::Parallel, workers), seq)
-        << "workers " << workers;
-  }
+  const std::vector<std::string> serial = documents(1);
+  ASSERT_EQ(serial.size(), cfgs.size());
+  EXPECT_FALSE(serial[0].empty());
+  EXPECT_EQ(documents(4), serial);
 }
 
 // --- document / schema -----------------------------------------------------

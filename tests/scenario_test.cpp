@@ -73,6 +73,9 @@ TEST(BenchArgs, RejectsMalformedValue) {
   BenchOptions o;
   EXPECT_NE(try_parse_bench_args({"--jobs=two"}, o), "");
   EXPECT_NE(try_parse_bench_args({"--measure=fast"}, o), "");
+  // Out of int range, and a negative count that strtoull would wrap.
+  EXPECT_NE(try_parse_bench_args({"--jobs=1e20"}, o), "");
+  EXPECT_NE(try_parse_bench_args({"--trace-capacity=-1"}, o), "");
 }
 
 TEST(BenchArgs, UsageListsEveryFlag) {

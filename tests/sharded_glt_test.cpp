@@ -1,7 +1,7 @@
 // Sharded-GLT tests: the shard oracle gate (gem_shards=1 must be
 // bit-identical to the unsharded baselines — on the pinned regression
-// goldens and on every shipped spec), determinism of sharded runs across
-// engine kinds and worker counts, and the queueing claim the shards exist
+// goldens and on every shipped spec), determinism of sharded runs at any
+// --jobs, and the queueing claim the shards exist
 // for: on a GLT-bound configuration, four shards beat one. Equality is ==
 // / DOUBLE_EQ throughout — shard routing is a pure function of the page id,
 // so any divergence is a bug, not noise.
@@ -14,6 +14,7 @@
 
 #include "core/config_file.hpp"
 #include "core/experiment.hpp"
+#include "core/sweep.hpp"
 #include "core/system.hpp"
 #include "workload/scale_out.hpp"
 #include "workload/trace_generator.hpp"
@@ -26,45 +27,40 @@ namespace {
 
 using namespace gemsd;
 
-// --- shared helpers (mirrors the engine oracle gate) -----------------------
+// --- shared helpers --------------------------------------------------------
 
-struct GateResult {
-  RunResult r;
-  std::vector<std::pair<std::string, double>> detail;  // engine.* stripped
-};
-
-GateResult run_gate(SystemConfig cfg, const workload::Trace* trace) {
-  // Shrunk horizon: the gate checks routing equivalence, not steady state.
+// Shrunk horizon: the gate checks routing equivalence, not steady state.
+SystemConfig gate_config(SystemConfig cfg) {
   cfg.warmup = 0.1;
   cfg.measure = 0.3;
-  GateResult g;
-  g.r = trace ? run_trace(cfg, *trace) : run_debit_credit(cfg);
-  if (g.r.telemetry) {
-    for (const auto& kv : g.r.telemetry->detail) {
-      if (kv.first.rfind("engine.", 0) == 0) continue;  // self-metrics differ
-      g.detail.push_back(kv);
-    }
-  }
-  return g;
+  return cfg;
 }
 
-void expect_identical(const GateResult& s, const GateResult& p,
+RunResult run_gate(const SystemConfig& cfg, const workload::Trace* trace) {
+  const SystemConfig c = gate_config(cfg);
+  return trace ? run_trace(c, *trace) : run_debit_credit(c);
+}
+
+void expect_identical(const RunResult& s, const RunResult& p,
                       const std::string& what) {
-  EXPECT_GT(s.r.commits, 0u) << what << " (vacuous gate run)";
-  EXPECT_DOUBLE_EQ(s.r.resp_ms, p.r.resp_ms) << what;
-  EXPECT_DOUBLE_EQ(s.r.resp_ci_ms, p.r.resp_ci_ms) << what;
-  EXPECT_DOUBLE_EQ(s.r.resp_p95_ms, p.r.resp_p95_ms) << what;
-  EXPECT_DOUBLE_EQ(s.r.throughput, p.r.throughput) << what;
-  EXPECT_EQ(s.r.commits, p.r.commits) << what;
-  EXPECT_EQ(s.r.aborts, p.r.aborts) << what;
-  EXPECT_EQ(s.r.deadlocks, p.r.deadlocks) << what;
-  EXPECT_DOUBLE_EQ(s.r.cpu_util, p.r.cpu_util) << what;
-  EXPECT_DOUBLE_EQ(s.r.messages_per_txn, p.r.messages_per_txn) << what;
-  ASSERT_EQ(s.detail.size(), p.detail.size()) << what;
-  for (std::size_t i = 0; i < s.detail.size(); ++i) {
-    EXPECT_EQ(s.detail[i].first, p.detail[i].first) << what;
-    EXPECT_DOUBLE_EQ(s.detail[i].second, p.detail[i].second)
-        << what << " key " << s.detail[i].first;
+  EXPECT_GT(s.commits, 0u) << what << " (vacuous gate run)";
+  EXPECT_DOUBLE_EQ(s.resp_ms, p.resp_ms) << what;
+  EXPECT_DOUBLE_EQ(s.resp_ci_ms, p.resp_ci_ms) << what;
+  EXPECT_DOUBLE_EQ(s.resp_p95_ms, p.resp_p95_ms) << what;
+  EXPECT_DOUBLE_EQ(s.throughput, p.throughput) << what;
+  EXPECT_EQ(s.commits, p.commits) << what;
+  EXPECT_EQ(s.aborts, p.aborts) << what;
+  EXPECT_EQ(s.deadlocks, p.deadlocks) << what;
+  EXPECT_DOUBLE_EQ(s.cpu_util, p.cpu_util) << what;
+  EXPECT_DOUBLE_EQ(s.messages_per_txn, p.messages_per_txn) << what;
+  ASSERT_TRUE(s.telemetry && p.telemetry) << what;
+  const auto& sd = s.telemetry->detail;
+  const auto& pd = p.telemetry->detail;
+  ASSERT_EQ(sd.size(), pd.size()) << what;
+  for (std::size_t i = 0; i < sd.size(); ++i) {
+    EXPECT_EQ(sd[i].first, pd[i].first) << what;
+    EXPECT_DOUBLE_EQ(sd[i].second, pd[i].second) << what << " key "
+                                                 << sd[i].first;
   }
 }
 
@@ -145,10 +141,10 @@ TEST(ShardOracleGate, EveryShippedSpecUnchangedByForcedShardsOne) {
       // Specs that deliberately shard (shards_glt.ini) are outside the
       // oracle's domain: forcing them to one shard *must* change results.
       if (cfg.gem.shards != 1) continue;
-      const GateResult baseline = run_gate(cfg, trace);
+      const RunResult baseline = run_gate(cfg, trace);
       SystemConfig forced = cfg;
       forced.gem.shards = 1;
-      const GateResult oracle = run_gate(forced, trace);
+      const RunResult oracle = run_gate(forced, trace);
       expect_identical(
           baseline, oracle,
           entry.path().filename().string() + " run " + std::to_string(i));
@@ -159,40 +155,39 @@ TEST(ShardOracleGate, EveryShippedSpecUnchangedByForcedShardsOne) {
 
 // --- sharded determinism ---------------------------------------------------
 
-// Shards {2,4,8} under GEM locking: the sequential engine and the parallel
-// engine at 1, 2 and 4 workers must produce identical results — shard
-// routing must not introduce any engine- or worker-dependent ordering.
-TEST(ShardedGlt, DeterministicAcrossEnginesAndWorkerCounts) {
+// Shards {2,4,8} under GEM locking, run serially and on a four-thread sweep
+// pool: the full detail must match — shard routing must not introduce any
+// ordering that depends on the thread a run lands on.
+TEST(ShardedGlt, DeterministicAtAnyJobCount) {
+  std::vector<SystemConfig> cfgs;
   for (const int shards : {2, 4, 8}) {
     SystemConfig cfg = make_debit_credit_config();
     cfg.nodes = 4;
     cfg.coupling = Coupling::GemLocking;
     cfg.update = UpdateStrategy::NoForce;
     cfg.gem.shards = shards;
-    cfg.engine.kind = sim::EngineKind::Sequential;
-    const GateResult seq = run_gate(cfg, nullptr);
-    for (const int workers : {1, 2, 4}) {
-      SystemConfig par = cfg;
-      par.engine.kind = sim::EngineKind::Parallel;
-      par.engine.workers = workers;
-      expect_identical(seq, run_gate(par, nullptr),
-                       "shards " + std::to_string(shards) + " @" +
-                           std::to_string(workers) + " workers");
-    }
+    cfgs.push_back(gate_config(cfg));
+  }
+  const std::vector<RunResult> serial = SweepRunner(1).run_debit_credit(cfgs);
+  const std::vector<RunResult> pooled = SweepRunner(4).run_debit_credit(cfgs);
+  ASSERT_EQ(serial.size(), cfgs.size());
+  ASSERT_EQ(pooled.size(), cfgs.size());
+  for (std::size_t i = 0; i < cfgs.size(); ++i) {
+    expect_identical(serial[i], pooled[i],
+                     "shards " + std::to_string(cfgs[i].gem.shards));
   }
 }
 
 // The scale_out cell (drifting hotspot, diurnal curve, ShardMap router/GLA)
-// is deterministic across engine kinds too — the workload family the
-// 256-node scenario runs is gated here at a test-sized node count.
-TEST(ShardedGlt, ScaleOutCellDeterministicAcrossEngines) {
-  auto run_cell = [](sim::EngineKind kind, int workers) {
+// is deterministic at any --jobs too — the workload family the 256-node
+// scenario runs is gated here at a test-sized node count.
+TEST(ShardedGlt, ScaleOutCellDeterministicAtAnyJobCount) {
+  auto run_cell = [](std::uint64_t seed) {
     SystemConfig cfg = workload::make_scale_out_config(8);
     cfg.warmup = 0.5;
     cfg.measure = 2.0;
     cfg.gem.shards = 4;
-    cfg.engine.kind = kind;
-    cfg.engine.workers = workers;
+    cfg.seed = seed;
     auto bundle = workload::make_scale_out_workload(cfg, {});
     System::Workload wl;
     wl.gen = std::move(bundle.gen);
@@ -202,14 +197,20 @@ TEST(ShardedGlt, ScaleOutCellDeterministicAcrossEngines) {
     System sys(cfg, std::move(wl));
     return sys.run();
   };
-  const RunResult seq = run_cell(sim::EngineKind::Sequential, 0);
-  EXPECT_GT(seq.commits, 0u);
-  for (const int workers : {2, 4}) {
-    const RunResult par = run_cell(sim::EngineKind::Parallel, workers);
-    EXPECT_EQ(seq.commits, par.commits) << workers << " workers";
-    EXPECT_EQ(seq.aborts, par.aborts) << workers << " workers";
-    EXPECT_DOUBLE_EQ(seq.resp_ms, par.resp_ms) << workers << " workers";
-    EXPECT_DOUBLE_EQ(seq.throughput, par.throughput) << workers << " workers";
+  auto sweep = [&](int jobs) {
+    std::vector<std::function<RunResult()>> tasks;
+    for (const std::uint64_t seed : {42u, 43u}) {
+      tasks.push_back([&run_cell, seed] { return run_cell(seed); });
+    }
+    return SweepRunner(jobs).map(std::move(tasks));
+  };
+  const std::vector<RunResult> serial = sweep(1);
+  const std::vector<RunResult> pooled = sweep(2);
+  ASSERT_EQ(serial.size(), 2u);
+  ASSERT_EQ(pooled.size(), 2u);
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    expect_identical(serial[i], pooled[i],
+                     "seed index " + std::to_string(i));
   }
 }
 

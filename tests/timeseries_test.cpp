@@ -4,9 +4,9 @@
 // polled counters, the gemsd.timeseries.v1 document (schema, round trip,
 // CSV), the MSER warm-up estimator and batch-means drift gate on synthetic
 // series, and the two contracts everything rests on — the exported document
-// is bit-identical across engine kinds and worker counts on a shipped spec,
-// and the metrics are untouched with the recorder on or off. Suite names
-// start with "TimeSeries" so the TSan CI job covers the parallel-engine path.
+// is identical at any --jobs on a shipped spec, and the metrics are untouched
+// with the recorder on or off. Suite names start with "TimeSeries" so the
+// TSan CI job covers the sweep-pool path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +20,7 @@
 #include "core/config.hpp"
 #include "core/config_file.hpp"
 #include "core/experiment.hpp"
+#include "core/sweep.hpp"
 #include "obs/json.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/timeseries.hpp"
@@ -361,15 +362,13 @@ TEST(TimeSeriesSystem, RecorderOnOffMetricsIdentical) {
   EXPECT_DOUBLE_EQ(on.resp_p95_ms, off.resp_p95_ms);
   EXPECT_DOUBLE_EQ(on.cpu_util, off.cpu_util);
 
-  // The whole detail dump matches, except the wall-clock rate which differs
-  // between any two processes (and run-to-run).
+  // The whole detail dump matches.
   ASSERT_TRUE(on.telemetry && off.telemetry);
   ASSERT_EQ(on.telemetry->detail.size(), off.telemetry->detail.size());
   for (std::size_t i = 0; i < on.telemetry->detail.size(); ++i) {
     const auto& a = on.telemetry->detail[i];
     const auto& b = off.telemetry->detail[i];
     EXPECT_EQ(a.first, b.first);
-    if (a.first == "engine.wall_events_per_s") continue;
     EXPECT_DOUBLE_EQ(a.second, b.second) << a.first;
   }
 
@@ -383,36 +382,40 @@ TEST(TimeSeriesSystem, RecorderOnOffMetricsIdentical) {
   EXPECT_GE(ts_commits, on.commits);
 }
 
-// The acceptance contract: the v1 document is bit-identical between the
-// sequential and parallel engines at 1/2/4 workers on a shipped spec.
-TEST(TimeSeriesSystem, DocumentIdenticalAcrossEnginesOnShippedSpec) {
+// The acceptance contract: the v1 document is identical at any --jobs on a
+// shipped spec. Every point of the sweep records, so the pooled run has
+// recorders live on several threads at once.
+TEST(TimeSeriesSystem, DocumentIdenticalAtAnyJobCount) {
   const std::string path =
       std::string(GEMSD_SOURCE_DIR) + "/specs/fig_4_1.ini";
   if (!std::filesystem::exists(path)) GTEST_SKIP() << "specs/ not reachable";
   const SpecDoc doc = parse_spec_doc_file(path);
-  ASSERT_FALSE(doc.runs.empty());
+  ASSERT_GE(doc.runs.size(), 3u);
 
-  auto run_recorded = [&](sim::EngineKind kind, int workers) {
-    SystemConfig cfg = doc.runs[0].cfg;
+  std::vector<SystemConfig> cfgs;
+  for (std::size_t i = 0; i < 3; ++i) {
+    SystemConfig cfg = doc.runs[i].cfg;
     cfg.warmup = 0.1;
     cfg.measure = 0.4;
     cfg.obs.timeseries = true;
     cfg.obs.timeseries_window = 0.05;
-    cfg.engine.kind = kind;
-    cfg.engine.workers = workers;
-    const RunResult r = run_debit_credit(cfg);
-    EXPECT_TRUE(r.telemetry && r.telemetry->timeseries);
-    return r.telemetry && r.telemetry->timeseries
-               ? obs::timeseries_json(*r.telemetry->timeseries, {})
-               : std::string();
+    cfgs.push_back(cfg);
+  }
+  auto documents = [&](int jobs) {
+    std::vector<std::string> out;
+    for (const RunResult& r : SweepRunner(jobs).run_debit_credit(cfgs)) {
+      EXPECT_TRUE(r.telemetry && r.telemetry->timeseries);
+      out.push_back(r.telemetry && r.telemetry->timeseries
+                        ? obs::timeseries_json(*r.telemetry->timeseries, {})
+                        : std::string());
+    }
+    return out;
   };
 
-  const std::string seq = run_recorded(sim::EngineKind::Sequential, 0);
-  ASSERT_FALSE(seq.empty());
-  for (const int workers : {1, 2, 4}) {
-    EXPECT_EQ(run_recorded(sim::EngineKind::Parallel, workers), seq)
-        << "workers " << workers;
-  }
+  const std::vector<std::string> serial = documents(1);
+  ASSERT_EQ(serial.size(), cfgs.size());
+  EXPECT_FALSE(serial[0].empty());
+  EXPECT_EQ(documents(4), serial);
 }
 
 // --- warm-up defaults (satellite) -----------------------------------------

@@ -52,14 +52,6 @@
 //       first; a violation, or measured throughput above X_max (impossible
 //       on a document the simulator wrote), exits 1 — the CI capacity gate.
 //
-//   gemsd_analyze --engine-profile <engprof.json> [--top=K]
-//       Engine parallelism report from a "gemsd.engprof.v1" document
-//       (written by --engine-profile on any bench or gemsd_run): top
-//       straggler LPs, limiting lookahead edges ranked by the windows they
-//       bounded, stall time by cause, and measured vs analytic max speedup.
-//       A measured speedup above its critical-LP bound exits 1 — the bound
-//       holds by construction, so exceeding it means a corrupt profile.
-//
 // Exit codes: 0 clean, 1 regression / failed cross-check, 2 bad input.
 #include <cstdio>
 #include <cstdlib>
@@ -70,7 +62,6 @@
 
 #include "obs/analyze.hpp"
 #include "obs/critpath.hpp"
-#include "obs/engprof.hpp"
 #include "obs/json.hpp"
 #include "obs/resources.hpp"
 #include "obs/timeseries.hpp"
@@ -102,7 +93,6 @@ int usage() {
       "       gemsd_analyze --compare <baseline.json> <candidate.json>\n"
       "                     [--tolerance=T]\n"
       "       gemsd_analyze --bottleneck[=FILE] [<resources.json>]\n"
-      "       gemsd_analyze --engine-profile <engprof.json> [--top=K]\n"
       "       gemsd_analyze --timeseries <timeseries.json> [--csv=FILE]\n"
       "       gemsd_analyze --memory-budget=BYTES <results.json>\n");
   return 2;
@@ -161,7 +151,6 @@ int main(int argc, char** argv) {
   std::string compare_base, compare_cand;
   bool compare = false;
   bool critpath = false;
-  bool engprof = false;
   bool timeseries = false;
   bool bottleneck = false;
   double memory_budget = 0.0;  // > 0: --memory-budget mode
@@ -175,8 +164,6 @@ int main(int argc, char** argv) {
     const char* a = argv[i];
     if (std::strcmp(a, "--compare") == 0) {
       compare = true;
-    } else if (std::strcmp(a, "--engine-profile") == 0) {
-      engprof = true;
     } else if (std::strcmp(a, "--timeseries") == 0) {
       timeseries = true;
     } else if (std::strcmp(a, "--bottleneck") == 0) {
@@ -295,29 +282,6 @@ int main(int argc, char** argv) {
     return rep.drifting ? 1 : 0;
   }
 
-  if (engprof) {
-    obs::JsonValue doc;
-    if (!load_json(trace_path, doc)) return 2;
-    obs::EngProfile p;
-    std::string error;
-    if (!obs::engprof_from_json(doc, p, error)) {
-      std::fprintf(stderr, "error: %s: %s\n", trace_path.c_str(),
-                   error.c_str());
-      return 2;
-    }
-    std::fputs(obs::format_engprof(p, top_k).c_str(), stdout);
-    // measured <= bound holds by construction of the profiler (every
-    // window's wall span contains its longest drain span); a violation
-    // beyond rounding means the document was not produced by it.
-    if (p.measured_speedup > p.speedup_bound * (1.0 + 1e-9)) {
-      std::fprintf(stderr,
-                   "error: measured speedup %.3f exceeds its analytic bound "
-                   "%.3f — corrupt profile\n",
-                   p.measured_speedup, p.speedup_bound);
-      return 1;
-    }
-    return 0;
-  }
 
   obs::JsonValue doc;
   if (!load_json(trace_path, doc)) return 2;

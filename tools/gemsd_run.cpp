@@ -4,8 +4,6 @@
 //   ./gemsd_run spec.ini [more-specs.ini ...] [--csv] [--full] [--jobs=N]
 //              [--metrics-json=FILE] [--trace=FILE] [--trace-run=I]
 //              [--trace-filter=RE] [--sample=S] [--slow-k=K] [--audit]
-//              [--engine=sequential|parallel] [--engine-workers=N]
-//              [--engine-profile[=FILE]] [--engine-profile-trace=FILE]
 //              [--progress[=SECS]] [--timeseries[=FILE]]
 //              [--timeseries-window=S] [--resources[=FILE]]
 //
@@ -16,10 +14,9 @@
 // order. --metrics-json writes the structured results report (all metrics,
 // telemetry samples, slowest transactions); --trace writes a Chrome
 // trace-event file for one of the runs (pick with --trace-run).
-// See src/core/config_file.hpp for the spec format.
+// A malformed flag value exits 2 with a message naming the flag. See
+// src/core/config_file.hpp for the spec format.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <map>
 #include <memory>
@@ -43,84 +40,71 @@ int main(int argc, char** argv) {
   obs_opt.no_json = true;  // only write JSON when --metrics-json is given
   std::vector<std::string> spec_files;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--csv") == 0) {
+    const std::string a = argv[i];
+    std::string v;
+    bool ok = true;
+    if (a == "--csv") {
       csv = true;
-    } else if (std::strcmp(argv[i], "--full") == 0) {
+    } else if (a == "--full") {
       full = true;
-    } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      jobs = std::atoi(argv[i] + 7);
-    } else if (std::strncmp(argv[i], "--metrics-json=", 15) == 0) {
-      obs_opt.metrics_json = argv[i] + 15;
+    } else if (value_of(a, "--jobs", v)) {
+      ok = to_int(v, jobs);
+    } else if (value_of(a, "--metrics-json", v)) {
+      obs_opt.metrics_json = v;
       obs_opt.no_json = false;
-    } else if (std::strncmp(argv[i], "--trace=", 8) == 0) {
-      obs_opt.trace_file = argv[i] + 8;
-    } else if (std::strncmp(argv[i], "--trace-run=", 12) == 0) {
-      obs_opt.trace_run = std::atoi(argv[i] + 12);
-    } else if (std::strncmp(argv[i], "--trace-capacity=", 17) == 0) {
-      obs_opt.trace_capacity =
-          static_cast<std::size_t>(std::atoll(argv[i] + 17));
-    } else if (std::strncmp(argv[i], "--trace-filter=", 15) == 0) {
-      obs_opt.trace_filter = argv[i] + 15;
+    } else if (value_of(a, "--trace", v)) {
+      obs_opt.trace_file = v;
+    } else if (value_of(a, "--trace-run", v)) {
+      ok = to_int(v, obs_opt.trace_run);
+    } else if (value_of(a, "--trace-capacity", v)) {
+      std::uint64_t cap = 0;
+      ok = to_u64(v, cap);
+      obs_opt.trace_capacity = static_cast<std::size_t>(cap);
+    } else if (value_of(a, "--trace-filter", v)) {
+      obs_opt.trace_filter = v;
       try {
         (void)obs::trace_name_filter(obs_opt.trace_filter);
       } catch (const std::regex_error&) {
         std::fprintf(stderr, "error: --trace-filter is not a valid regex\n");
         return 1;
       }
-    } else if (std::strncmp(argv[i], "--sample=", 9) == 0) {
-      obs_opt.sample_every = std::atof(argv[i] + 9);
-    } else if (std::strncmp(argv[i], "--slow-k=", 9) == 0) {
-      obs_opt.slow_k = std::atoi(argv[i] + 9);
-    } else if (std::strcmp(argv[i], "--audit") == 0) {
+    } else if (value_of(a, "--sample", v)) {
+      ok = to_double(v, obs_opt.sample_every);
+    } else if (value_of(a, "--slow-k", v)) {
+      ok = to_int(v, obs_opt.slow_k);
+    } else if (a == "--audit") {
       obs_opt.audit = true;
-    } else if (std::strcmp(argv[i], "--engine-profile") == 0) {
-      obs_opt.engine_profile = true;
-    } else if (std::strncmp(argv[i], "--engine-profile=", 17) == 0) {
-      obs_opt.engine_profile = true;
-      obs_opt.engine_profile_file = argv[i] + 17;
-    } else if (std::strncmp(argv[i], "--engine-profile-trace=", 23) == 0) {
-      obs_opt.engine_profile = true;
-      obs_opt.engine_profile_trace = argv[i] + 23;
-    } else if (std::strcmp(argv[i], "--timeseries") == 0) {
+    } else if (a == "--timeseries") {
       obs_opt.timeseries = true;
-    } else if (std::strncmp(argv[i], "--timeseries=", 13) == 0) {
+    } else if (value_of(a, "--timeseries", v)) {
       obs_opt.timeseries = true;
-      obs_opt.timeseries_file = argv[i] + 13;
-    } else if (std::strncmp(argv[i], "--timeseries-window=", 20) == 0) {
+      obs_opt.timeseries_file = v;
+    } else if (value_of(a, "--timeseries-window", v)) {
       obs_opt.timeseries = true;
-      obs_opt.timeseries_window = std::atof(argv[i] + 20);
-      if (obs_opt.timeseries_window <= 0) {
+      ok = to_double(v, obs_opt.timeseries_window);
+      if (ok && obs_opt.timeseries_window <= 0) {
         std::fprintf(stderr, "error: --timeseries-window must be > 0\n");
         return 1;
       }
-    } else if (std::strcmp(argv[i], "--resources") == 0) {
+    } else if (a == "--resources") {
       obs_opt.resources = true;
-    } else if (std::strncmp(argv[i], "--resources=", 12) == 0) {
+    } else if (value_of(a, "--resources", v)) {
       obs_opt.resources = true;
-      obs_opt.resources_file = argv[i] + 12;
-    } else if (std::strcmp(argv[i], "--progress") == 0) {
+      obs_opt.resources_file = v;
+    } else if (a == "--progress") {
       obs_opt.progress_every_s = 10.0;
-    } else if (std::strncmp(argv[i], "--progress=", 11) == 0) {
-      obs_opt.progress_every_s = std::atof(argv[i] + 11);
-      if (obs_opt.progress_every_s <= 0) {
+    } else if (value_of(a, "--progress", v)) {
+      ok = to_double(v, obs_opt.progress_every_s);
+      if (ok && obs_opt.progress_every_s <= 0) {
         std::fprintf(stderr, "error: --progress period must be > 0\n");
         return 1;
       }
-    } else if (std::strncmp(argv[i], "--engine=", 9) == 0) {
-      const char* v = argv[i] + 9;
-      if (std::strcmp(v, "sequential") == 0) {
-        obs_opt.engine = sim::EngineKind::Sequential;
-      } else if (std::strcmp(v, "parallel") == 0) {
-        obs_opt.engine = sim::EngineKind::Parallel;
-      } else {
-        std::fprintf(stderr,
-                     "error: --engine must be sequential or parallel\n");
-        return 1;
-      }
-    } else if (std::strncmp(argv[i], "--engine-workers=", 17) == 0) {
-      obs_opt.engine_workers = std::atoi(argv[i] + 17);
     } else {
-      spec_files.push_back(argv[i]);
+      spec_files.push_back(a);
+    }
+    if (!ok) {
+      std::fprintf(stderr, "error: malformed value in '%s'\n", a.c_str());
+      return 2;
     }
   }
   if (spec_files.empty()) {
@@ -129,8 +113,6 @@ int main(int argc, char** argv) {
                  "[--csv] [--full] [--jobs=N] [--metrics-json=FILE] "
                  "[--trace=FILE] [--trace-run=I] [--trace-filter=RE] "
                  "[--sample=S] [--slow-k=K] [--audit] "
-                 "[--engine=sequential|parallel] [--engine-workers=N] "
-                 "[--engine-profile[=FILE]] [--engine-profile-trace=FILE] "
                  "[--progress[=SECS]] [--timeseries[=FILE]] "
                  "[--timeseries-window=S] [--resources[=FILE]]\n");
     return 1;
@@ -209,9 +191,6 @@ int main(int argc, char** argv) {
       obs.trace_capacity = obs_opt.trace_capacity;
       obs.trace_filter = obs_opt.trace_filter;
     }
-    if (obs_opt.engine_profile && si == picked) {
-      obs.engine_profile = true;
-    }
     if (obs_opt.timeseries && si == picked) {
       obs.timeseries = true;
       obs.timeseries_window = obs_opt.timeseries_window;
@@ -219,19 +198,15 @@ int main(int argc, char** argv) {
     if (obs_opt.resources && si == picked) {
       obs.resources = true;
     }
-    SystemConfig::EngineConfig eng;
-    eng.kind = obs_opt.engine;
-    eng.workers = obs_opt.engine_workers;
     std::shared_ptr<const workload::Trace> trace;
     if (spec.kind == RunSpec::Kind::Trace) {
       trace = traces.at(std::make_pair(spec.trace_file, spec.trace_txns));
     }
-    tasks.push_back([&spec, obs, eng, trace] {
+    tasks.push_back([&spec, obs, trace] {
       SpecResult out;
       if (spec.kind == RunSpec::Kind::DebitCredit) {
         SystemConfig cfg = spec.cfg;
         cfg.obs = obs;
-        cfg.engine = eng;
         out.r = run_debit_credit(cfg);
         out.cfg = cfg;
         out.names = debit_credit_partition_names();
@@ -242,7 +217,6 @@ int main(int argc, char** argv) {
         SystemConfig cfg = make_trace_config(*trace);
         apply_spec_keys(cfg, spec.keys);
         cfg.obs = obs;
-        cfg.engine = eng;
         out.r = run_trace(cfg, *trace);
         out.cfg = cfg;
         for (int f = 0; f < trace->num_files; ++f) {
@@ -262,7 +236,7 @@ int main(int argc, char** argv) {
   }
 
   if (!obs_opt.no_json || !obs_opt.trace_file.empty() ||
-      obs_opt.engine_profile || obs_opt.timeseries || obs_opt.resources) {
+      obs_opt.timeseries || obs_opt.resources) {
     std::vector<BenchRun> bruns(results.size());
     for (std::size_t i = 0; i < results.size(); ++i) {
       bruns[i].config = results[i].cfg;
@@ -276,7 +250,6 @@ int main(int argc, char** argv) {
                                        : results.front().names);
     }
     write_trace_file(obs_opt, bruns);
-    write_engprof_files("run", obs_opt, bruns);
     write_timeseries_file("run", obs_opt, bruns);
     write_resources_file("run", obs_opt, bruns);
   }
