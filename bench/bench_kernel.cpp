@@ -1,7 +1,7 @@
 // Microbenchmarks for the discrete-event kernel: raw event throughput,
-// coroutine process spawn/await cost, resource contention handling, and the
-// fast-path split between handle-resume events (no allocation) and callback
-// events (side-slab std::function slots).
+// coroutine process spawn/reap and nested-await cost, resource contention
+// handling, and the fast-path split between handle-resume events (no
+// allocation) and callback events (side-slab std::function slots).
 //
 // Besides the google-benchmark console table this emits the same
 // "gemsd.results.v1" document as the figure benches (default
@@ -69,6 +69,56 @@ void BM_ResourceContention(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 200 * 20);
 }
 BENCHMARK(BM_ResourceContention);
+
+// Spawn/reap: a root process spawns short-lived processes, each of which
+// runs once and is reaped. Per item: frame allocation, root-list link and
+// unlink, one resume and the frame's release. The scheduler lives across
+// iterations, so its frame pool is warm as in a long simulation.
+Task<void> one_shot_process() { co_return; }
+
+Task<void> spawn_batch(Scheduler& s, int batches, int per_batch) {
+  for (int b = 0; b < batches; ++b) {
+    for (int i = 0; i < per_batch; ++i) s.spawn(one_shot_process());
+    co_await s.delay(1e-6);  // let the batch run and be reaped
+  }
+}
+
+void BM_SpawnReap(benchmark::State& state) {
+  Scheduler s;
+  for (auto _ : state) {
+    s.spawn(spawn_batch(s, 100, 100));
+    s.run_all();
+  }
+  state.SetItemsProcessed(state.iterations() * 100 * 100);
+}
+BENCHMARK(BM_SpawnReap);
+
+// Nested await chain: four Task frames deep with the delay at the bottom —
+// the shape of consume_cpu -> CpuSet::consume -> Resource::use. Per item:
+// four frame allocations and releases, four starts, one event.
+Task<int> chain_leaf(Scheduler& s) {
+  co_await s.delay(1e-6);
+  co_return 1;
+}
+Task<int> chain_3(Scheduler& s) { co_return co_await chain_leaf(s); }
+Task<int> chain_2(Scheduler& s) { co_return co_await chain_3(s); }
+Task<int> chain_1(Scheduler& s) { co_return co_await chain_2(s); }
+
+Task<void> chain_caller(Scheduler& s, int calls, long* sum) {
+  for (int i = 0; i < calls; ++i) *sum += co_await chain_1(s);
+}
+
+void BM_TaskAwaitChain(benchmark::State& state) {
+  Scheduler s;
+  long sum = 0;
+  for (auto _ : state) {
+    for (int p = 0; p < 10; ++p) s.spawn(chain_caller(s, 1000, &sum));
+    s.run_all();
+  }
+  benchmark::DoNotOptimize(sum);
+  state.SetItemsProcessed(state.iterations() * 10 * 1000);
+}
+BENCHMARK(BM_TaskAwaitChain);
 
 // Mixed workload: the realistic event stream of a full simulation —
 // coroutine resumes (page waits, CPU grants) interleaved with timer-style

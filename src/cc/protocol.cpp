@@ -90,21 +90,29 @@ void Protocol::revoke_auths_from(NodeId sender, PageId p, NodeId except) {
 
 sim::Task<Protocol::Logical> Protocol::lock_logical(node::Txn& txn, PageId p,
                                                     LockMode mode) {
-  sim::OneShot<bool> granted(sched());
-  const auto res = table_.acquire(
-      p, txn.id, txn.node, mode,
-      [this, granted_ptr = &granted, waiter_node = txn.node] {
-        // Fired during someone's release processing. A waiter on another
-        // node than the releasing context learns of the grant through a
-        // short notification message; a local waiter is resumed directly.
-        if (releasing_node_ == kNoNode || releasing_node_ == waiter_node) {
-          granted_ptr->set(true);
-        } else {
-          sched().spawn(env_.comm->send(releasing_node_, waiter_node,
-                                        /*long_msg=*/false,
-                                        fulfill_bool(granted_ptr, true)));
-        }
-      });
+  // The grant callback captures a single pointer to this frame-local state,
+  // small enough for std::function's inline buffer, so a lock request
+  // allocates nothing. The frame outlives the wait: it either awaits the
+  // grant or cancels the wait before returning.
+  struct GrantWait {
+    Protocol* self;
+    sim::OneShot<bool> granted;
+    NodeId waiter_node;
+  } wait{this, sim::OneShot<bool>(sched()), txn.node};
+  const auto res = table_.acquire(p, txn.id, txn.node, mode, [w = &wait] {
+    // Fired during someone's release processing. A waiter on another node
+    // than the releasing context learns of the grant through a short
+    // notification message; a local waiter is resumed directly.
+    Protocol& self = *w->self;
+    if (self.releasing_node_ == kNoNode ||
+        self.releasing_node_ == w->waiter_node) {
+      w->granted.set(true);
+    } else {
+      self.sched().spawn(self.env_.comm->send(
+          self.releasing_node_, w->waiter_node, /*long_msg=*/false,
+          fulfill_bool(&w->granted, true)));
+    }
+  });
   if (res == LockTable::Outcome::Granted) {
     if (!txn.holds_page(p)) txn.held.push_back(p);
     co_return Logical::Granted;
@@ -137,7 +145,7 @@ sim::Task<Protocol::Logical> Protocol::lock_logical(node::Txn& txn, PageId p,
   }
   metrics().lock_waits.inc();
   const sim::SimTime t0 = sched().now();
-  co_await granted.wait();
+  co_await wait.granted.wait();
   metrics().lock_wait_time.add(sched().now() - t0);
   if (metrics().trace) {
     metrics().trace->span(obs::TraceName::kLockWait,

@@ -22,7 +22,7 @@ struct DimValue {
   /// is not a SystemConfig field). One slot per dimension, see
   /// ScenarioCell::params.
   double param = 0;
-  std::vector<std::pair<std::string, double>> extra;
+  std::vector<std::pair<std::string, double>> extra{};
 };
 
 /// One dimension of a scenario's parameter grid. Dimensions multiply out in

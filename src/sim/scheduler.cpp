@@ -5,12 +5,36 @@
 
 namespace gemsd::sim {
 
+namespace detail {
+
+FramePool::~FramePool() {
+  for (void* c : chunks_) {
+    unpoison(c, kChunkBytes);
+    ::operator delete(c, kChunkBytes);
+  }
+}
+
+void FramePool::new_chunk() {
+  // The tail of the previous chunk, smaller than the block asked for, is
+  // left unused: at most 2 KiB of every 64 KiB.
+  void* c = ::operator new(kChunkBytes);
+  chunks_.push_back(c);
+  bump_ = static_cast<char*>(c);
+  end_ = bump_ + kChunkBytes;
+  poison(c, kChunkBytes);
+}
+
+}  // namespace detail
+
 Scheduler::~Scheduler() {
   drain_dead();
   // Destroy still-suspended root processes; nested frames are owned by their
   // parents' Task locals and cascade automatically.
-  for (void* p : roots_) {
-    std::coroutine_handle<>::from_address(p).destroy();
+  while (roots_ != nullptr) {
+    auto& root = static_cast<Task<void>::promise_type&>(*roots_);
+    roots_ = roots_->next_root;
+    std::coroutine_handle<Task<void>::promise_type>::from_promise(root)
+        .destroy();
   }
 }
 
@@ -90,13 +114,23 @@ void Scheduler::dispatch(const Ev& ev) {
 
 void Scheduler::spawn(Task<void> t) {
   auto h = t.release();
-  h.promise().reaper = this;
-  roots_.insert(h.address());
+  auto& root = h.promise();
+  root.reaper = this;
+  root.next_root = roots_;
+  if (roots_ != nullptr) roots_->prev_root = &root;
+  roots_ = &root;
+  ++live_roots_;
   schedule(now_, h);
 }
 
-void Scheduler::reap(std::coroutine_handle<> h) {
-  roots_.erase(h.address());
+void Scheduler::reap(detail::PromiseBase& root, std::coroutine_handle<> h) {
+  if (root.prev_root != nullptr) {
+    root.prev_root->next_root = root.next_root;
+  } else {
+    roots_ = root.next_root;
+  }
+  if (root.next_root != nullptr) root.next_root->prev_root = root.prev_root;
+  --live_roots_;
   dead_.push_back(h);
 }
 
@@ -106,6 +140,7 @@ void Scheduler::drain_dead_slow() {
 }
 
 std::uint64_t Scheduler::run_until(SimTime end) {
+  detail::FramePool::Use use(frames_);
   std::uint64_t n = 0;
   while (!heap_.empty() && heap_.front().t <= end) {
     const Ev ev = pop_top();
@@ -126,6 +161,7 @@ std::uint64_t Scheduler::run_until(SimTime end) {
 }
 
 std::uint64_t Scheduler::run_all() {
+  detail::FramePool::Use use(frames_);
   std::uint64_t n = 0;
   while (!heap_.empty()) {
     const Ev ev = pop_top();

@@ -3,7 +3,6 @@
 #include <coroutine>
 #include <cstdint>
 #include <functional>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/task.hpp"
@@ -22,7 +21,10 @@ namespace gemsd::sim {
 /// side slab of std::function slots, recycled through a free list). The heap
 /// vector and the slab persist and are reused across run_until() calls, so a
 /// steady-state simulation schedules millions of events without touching the
-/// allocator.
+/// allocator. Coroutine frames created while the scheduler runs come from
+/// its own frame pool (detail::FramePool), and the live root processes form
+/// an intrusive list threaded through their promises, so spawning, awaiting
+/// and reaping processes recycle memory instead of allocating it.
 ///
 /// A Scheduler is strictly single-threaded: no two threads may touch it at
 /// the same time. Parallelism is across Scheduler instances, one per
@@ -60,7 +62,14 @@ class Scheduler {
   /// Event-queue high-water mark (lifetime; not reset between runs).
   std::size_t max_queued() const { return max_queued_; }
   std::uint64_t events_processed() const { return processed_; }
-  std::size_t live_processes() const { return roots_.size(); }
+  std::size_t live_processes() const { return live_roots_; }
+  /// 64 KiB chunks the frame pool has allocated (lifetime).
+  std::size_t frame_chunks() const { return frames_.chunks(); }
+  /// True when `frame` (a live coroutine handle's address) came from this
+  /// scheduler's frame pool, not from the global heap or another pool.
+  bool owns_frame(const void* frame) const {
+    return detail::FramePool::owner(frame) == &frames_;
+  }
 
   /// Awaitable: suspend the calling process for `d` simulated time.
   auto delay(SimTime d) {
@@ -91,7 +100,7 @@ class Scheduler {
   }
 
   /// Internal: called from a finished root task's final suspend.
-  void reap(std::coroutine_handle<> h);
+  void reap(detail::PromiseBase& root, std::coroutine_handle<> h);
 
   /// Invoke `cb` after every `every` processed events (0 disables). The hook
   /// is observation-only plumbing for the --progress heartbeat: it costs one
@@ -130,6 +139,9 @@ class Scheduler {
   }
   void drain_dead_slow();
 
+  /// Declared first so it is destroyed last: ~Scheduler destroys the
+  /// still-suspended roots, whose frames return their blocks to it.
+  detail::FramePool frames_;
   std::vector<Ev> heap_;  ///< 4-ary min-heap ordered by (t, key)
   std::vector<std::function<void()>> slab_;  ///< callback side slab
   std::vector<std::uint32_t> free_slots_;    ///< recycled slab indices
@@ -137,7 +149,8 @@ class Scheduler {
   std::uint64_t seq_ = 0;
   std::size_t max_queued_ = 0;
   std::uint64_t processed_ = 0;
-  std::unordered_set<void*> roots_;
+  detail::PromiseBase* roots_ = nullptr;  ///< live root processes
+  std::size_t live_roots_ = 0;
   std::vector<std::coroutine_handle<>> dead_;
   std::function<void()> progress_cb_;
   std::uint64_t progress_every_ = 0;  ///< 0 = hook disabled
@@ -151,7 +164,7 @@ std::coroutine_handle<> PromiseBase::FinalAwaiter::await_suspend(
     std::coroutine_handle<Promise> h) noexcept {
   auto& pb = h.promise();
   if (pb.continuation) return pb.continuation;
-  if (pb.reaper != nullptr) pb.reaper->reap(h);
+  if (pb.reaper != nullptr) pb.reaper->reap(pb, h);
   return std::noop_coroutine();
 }
 

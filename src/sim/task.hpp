@@ -1,10 +1,16 @@
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
+#include <new>
 #include <optional>
 #include <utility>
+#include <vector>
+
+// The poisoning macros expand to nothing unless AddressSanitizer is on.
+#include <sanitizer/asan_interface.h>
 
 namespace gemsd::sim {
 
@@ -12,13 +18,138 @@ class Scheduler;
 
 namespace detail {
 
+/// Coroutine-frame allocator owned by one Scheduler. Frames come from
+/// size-class free lists carved out of 64 KiB chunks, so a steady-state run
+/// recycles its frames instead of calling the global allocator for every
+/// `Task` call. The pool serves frames only while its Scheduler is running
+/// (FramePool::Use, set by run_until/run_all); a frame created outside a run,
+/// or larger than the biggest size class, comes from the global heap. Each
+/// block starts with a 16-byte header naming the pool that owns it (null for
+/// the global heap), so a frame always goes back where it came from, whatever
+/// pool is current when it is destroyed. Chunks are freed only with the pool:
+/// nothing is shared between runs.
+class FramePool {
+ public:
+  FramePool() = default;
+  ~FramePool();
+  FramePool(const FramePool&) = delete;
+  FramePool& operator=(const FramePool&) = delete;
+
+  /// Makes `pool` the source of new frames on this thread for the lifetime
+  /// of the guard; the previous one is restored on exit, so Schedulers that
+  /// run nested or interleaved on one thread each keep their own frames.
+  class Use {
+   public:
+    explicit Use(FramePool& pool) noexcept : prev_(current_) {
+      current_ = &pool;
+    }
+    ~Use() { current_ = prev_; }
+    Use(const Use&) = delete;
+    Use& operator=(const Use&) = delete;
+
+   private:
+    FramePool* prev_;
+  };
+
+  static void* allocate(std::size_t n) {
+    const std::size_t total = n + sizeof(Header);
+    FramePool* pool = current_;
+    Header* h;
+    if (pool != nullptr && total <= kMaxBlock) {
+      h = pool->take(size_class(total));
+    } else {
+      h = static_cast<Header*>(::operator new(total));
+      pool = nullptr;
+    }
+    h->owner = pool;
+    unpoison(h + 1, n);
+    return h + 1;
+  }
+
+  static void deallocate(void* p, std::size_t n) noexcept {
+    Header* h = static_cast<Header*>(p) - 1;
+    const std::size_t total = n + sizeof(Header);
+    if (h->owner == nullptr) {
+      ::operator delete(h, total);
+      return;
+    }
+    const std::size_t cls = size_class(total);
+    poison(p, block_size(cls) - sizeof(Header));
+    h->next_free = h->owner->free_[cls];
+    h->owner->free_[cls] = h;
+  }
+
+  /// Chunks allocated so far.
+  std::size_t chunks() const { return chunks_.size(); }
+  /// The pool a live frame came from; null for the global heap.
+  static const FramePool* owner(const void* frame) {
+    return (static_cast<const Header*>(frame) - 1)->owner;
+  }
+
+ private:
+  struct alignas(16) Header {
+    FramePool* owner;   ///< null: the block came from the global heap
+    Header* next_free;  ///< free-list link while the block is unused
+  };
+
+  static constexpr std::size_t kGranule = 64;
+  static constexpr std::size_t kClasses = 32;
+  static constexpr std::size_t kMaxBlock = kGranule * kClasses;  // 2 KiB
+  static constexpr std::size_t kChunkBytes = 64 * 1024;
+
+  static std::size_t size_class(std::size_t total) {
+    return (total - 1) / kGranule;
+  }
+  static std::size_t block_size(std::size_t cls) {
+    return (cls + 1) * kGranule;
+  }
+
+  Header* take(std::size_t cls) {
+    Header* h = free_[cls];
+    if (h != nullptr) {
+      free_[cls] = h->next_free;
+      return h;
+    }
+    const std::size_t bytes = block_size(cls);
+    if (static_cast<std::size_t>(end_ - bump_) < bytes) new_chunk();
+    h = reinterpret_cast<Header*>(bump_);
+    bump_ += bytes;
+    unpoison(h, sizeof(Header));
+    return h;
+  }
+  void new_chunk();
+
+  // Under AddressSanitizer an unused block is poisoned, so touching a
+  // destroyed frame is reported even though its memory stays in the pool.
+  static void poison(void* p, std::size_t n) {
+    ASAN_POISON_MEMORY_REGION(p, n);
+  }
+  static void unpoison(void* p, std::size_t n) {
+    ASAN_UNPOISON_MEMORY_REGION(p, n);
+  }
+
+  static inline thread_local FramePool* current_ = nullptr;
+
+  Header* free_[kClasses] = {};
+  char* bump_ = nullptr;
+  char* end_ = nullptr;
+  std::vector<void*> chunks_;
+};
+
 /// Shared part of every task promise: the continuation to resume when the
 /// coroutine finishes, or (for root processes) the scheduler that reaps the
-/// finished frame.
+/// finished frame and the links of its intrusive list of live roots.
 class PromiseBase {
  public:
   std::coroutine_handle<> continuation;
   Scheduler* reaper = nullptr;  // set only on root (spawned) tasks
+  PromiseBase* prev_root = nullptr;
+  PromiseBase* next_root = nullptr;
+
+  static void* operator new(std::size_t n) { return FramePool::allocate(n); }
+  static void operator delete(void* p, std::size_t n) noexcept {
+    FramePool::deallocate(p, n);
+  }
 
   std::suspend_always initial_suspend() noexcept { return {}; }
 

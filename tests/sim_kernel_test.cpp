@@ -102,7 +102,7 @@ TEST(Scheduler, TeardownDestroysSuspendedProcesses) {
   EXPECT_EQ(steps, 20);
 }
 
-Task<void> worker(Scheduler& s, Resource& r, double service, int* done) {
+Task<void> worker(Scheduler&, Resource& r, double service, int* done) {
   co_await r.use(service);
   ++*done;
 }
