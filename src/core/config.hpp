@@ -142,7 +142,7 @@ struct SystemConfig {
     /// enter the ring, so they don't contribute to the `dropped` overwrite
     /// count — the knob that lets long runs keep a complete window of just
     /// lock/flow/IO events.
-    std::string trace_filter;
+    std::string trace_filter = "";
     /// Periodic sampler interval in simulated seconds (0 = off). Samples
     /// start at t=0 so warm-up convergence is visible.
     sim::SimTime sample_every = 0.0;

@@ -8,6 +8,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/flags.hpp"
+
 namespace gemsd {
 
 namespace {
@@ -58,28 +60,27 @@ const char* storage_name(StorageKind k) {
   return "disk";
 }
 
-double parse_num(const std::string& v, int line) {
-  if (!v.empty()) {
-    char* end = nullptr;
-    const double d = std::strtod(v.c_str(), &end);
-    if (end && *end == '\0') return d;
-  }
-  fail(line, "expected a number, got '" + v + "'");
+double spec_num(const std::string& v, int line) {
+  double d = 0;
+  if (!to_double(v, d)) fail(line, "expected a number, got '" + v + "'");
+  return d;
 }
 
-int parse_int(const std::string& v, int line) {
-  const double d = parse_num(v, line);
-  const int i = static_cast<int>(d);
-  if (d != static_cast<double>(i)) {
+// Integers: a non-number gets spec_num's message, a fractional or
+// out-of-range number this one.
+int spec_int(const std::string& v, int line) {
+  int i = 0;
+  if (!to_int(v, i)) {
+    (void)spec_num(v, line);
     fail(line, "expected an integer, got '" + v + "'");
   }
   return i;
 }
 
-std::int64_t parse_i64(const std::string& v, int line) {
-  const double d = parse_num(v, line);
-  const auto i = static_cast<std::int64_t>(d);
-  if (d != static_cast<double>(i)) {
+std::int64_t spec_i64(const std::string& v, int line) {
+  std::int64_t i = 0;
+  if (!to_i64(v, i)) {
+    (void)spec_num(v, line);
     fail(line, "expected an integer, got '" + v + "'");
   }
   return i;
@@ -131,13 +132,13 @@ struct KeyDef {
 const KeyDef kSystemKeys[] = {
     {"nodes",
      [](SystemConfig& c, const std::string& v, int l) {
-       c.nodes = parse_int(v, l);
+       c.nodes = spec_int(v, l);
        if (c.nodes < 1) fail(l, "nodes must be >= 1");
      },
      [](const SystemConfig& c) { return fmt_int(c.nodes); }},
     {"tps",
      [](SystemConfig& c, const std::string& v, int l) {
-       c.arrival_rate_per_node = parse_num(v, l);
+       c.arrival_rate_per_node = spec_num(v, l);
        if (!(c.arrival_rate_per_node > 0)) fail(l, "tps must be > 0");
      },
      [](const SystemConfig& c) { return fmt_num(c.arrival_rate_per_node); }},
@@ -179,29 +180,29 @@ const KeyDef kSystemKeys[] = {
      }},
     {"buffer",
      [](SystemConfig& c, const std::string& v, int l) {
-       c.buffer_pages = parse_int(v, l);
+       c.buffer_pages = spec_int(v, l);
        if (c.buffer_pages < 1) fail(l, "buffer must be >= 1");
      },
      [](const SystemConfig& c) { return fmt_int(c.buffer_pages); }},
     {"mpl",
      [](SystemConfig& c, const std::string& v, int l) {
-       c.mpl = parse_int(v, l);
+       c.mpl = spec_int(v, l);
        if (c.mpl < 1) fail(l, "mpl must be >= 1");
      },
      [](const SystemConfig& c) { return fmt_int(c.mpl); }},
     {"warmup",
      [](SystemConfig& c, const std::string& v, int l) {
-       c.warmup = parse_num(v, l);
+       c.warmup = spec_num(v, l);
      },
      [](const SystemConfig& c) { return fmt_num(c.warmup); }},
     {"measure",
      [](SystemConfig& c, const std::string& v, int l) {
-       c.measure = parse_num(v, l);
+       c.measure = spec_num(v, l);
      },
      [](const SystemConfig& c) { return fmt_num(c.measure); }},
     {"seed",
      [](SystemConfig& c, const std::string& v, int l) {
-       const std::int64_t s = parse_i64(v, l);
+       const std::int64_t s = spec_i64(v, l);
        if (s < 0) fail(l, "seed must be non-negative");
        c.seed = static_cast<std::uint64_t>(s);
      },
@@ -219,7 +220,7 @@ const KeyDef kSystemKeys[] = {
      }},
     {"log_disks",
      [](SystemConfig& c, const std::string& v, int l) {
-       c.log_disks_per_node = parse_int(v, l);
+       c.log_disks_per_node = spec_int(v, l);
      },
      [](const SystemConfig& c) { return fmt_int(c.log_disks_per_node); }},
     {"group_commit",
@@ -251,27 +252,27 @@ const KeyDef kSystemKeys[] = {
      }},
     {"cpu_procs",
      [](SystemConfig& c, const std::string& v, int l) {
-       c.cpu.processors = parse_int(v, l);
+       c.cpu.processors = spec_int(v, l);
      },
      [](const SystemConfig& c) { return fmt_int(c.cpu.processors); }},
     {"gem_entry_us",
      [](SystemConfig& c, const std::string& v, int l) {
-       c.gem.entry_access = parse_num(v, l) * 1e-6;
+       c.gem.entry_access = spec_num(v, l) * 1e-6;
      },
      [](const SystemConfig& c) { return fmt_us(c.gem.entry_access); }},
     {"msg_short_instr",
      [](SystemConfig& c, const std::string& v, int l) {
-       c.comm.short_instr = parse_num(v, l);
+       c.comm.short_instr = spec_num(v, l);
      },
      [](const SystemConfig& c) { return fmt_num(c.comm.short_instr); }},
     {"msg_long_instr",
      [](SystemConfig& c, const std::string& v, int l) {
-       c.comm.long_instr = parse_num(v, l);
+       c.comm.long_instr = spec_num(v, l);
      },
      [](const SystemConfig& c) { return fmt_num(c.comm.long_instr); }},
     {"lock_engine_us",
      [](SystemConfig& c, const std::string& v, int l) {
-       c.lock_engine_service = parse_num(v, l) * 1e-6;
+       c.lock_engine_service = spec_num(v, l) * 1e-6;
      },
      [](const SystemConfig& c) {
        return fmt_us(c.lock_engine_service);
@@ -294,7 +295,7 @@ void apply_one(SystemConfig& cfg, const std::string& key,
   // differ from the default, like the per-partition keys below, so shipped
   // single-GEM specs keep their exact bytes).
   if (key == "gem_shards") {
-    cfg.gem.shards = parse_int(val, line);
+    cfg.gem.shards = spec_int(val, line);
     if (cfg.gem.shards < 1) fail(line, "gem_shards must be >= 1");
     return;
   }
@@ -307,12 +308,12 @@ void apply_one(SystemConfig& cfg, const std::string& key,
     if (field == "storage") {
       pc->storage = parse_storage(val, line);
     } else if (field == "cache_pages") {
-      pc->disk_cache_pages = parse_i64(val, line);
+      pc->disk_cache_pages = spec_i64(val, line);
       pc->gem_cache_pages = pc->disk_cache_pages;
     } else if (field == "disk_cache_pages") {
-      pc->disk_cache_pages = parse_i64(val, line);
+      pc->disk_cache_pages = spec_i64(val, line);
     } else if (field == "gem_cache_pages") {
-      pc->gem_cache_pages = parse_i64(val, line);
+      pc->gem_cache_pages = spec_i64(val, line);
     } else {
       fail(line, "unknown partition key '" + field + "'");
     }
@@ -384,7 +385,7 @@ SpecDoc parse_spec_doc(std::istream& in) {
       } else if (lkey == "trace_file") {
         proto.trace_file = val;
       } else if (lkey == "trace_txns") {
-        proto.trace_txns = static_cast<std::size_t>(parse_i64(val, line));
+        proto.trace_txns = static_cast<std::size_t>(spec_i64(val, line));
       } else {
         fail(line, "unknown [workload] key '" + key + "'");
       }

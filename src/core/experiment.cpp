@@ -2,11 +2,8 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <limits>
-#include <regex>
 
 #include "obs/fingerprint.hpp"
 #include "obs/json.hpp"
@@ -74,152 +71,113 @@ RunResult run_trace(const SystemConfig& cfg, const workload::Trace& trace) {
   return sys.run();
 }
 
-bool value_of(const std::string& a, const char* flag, std::string& out) {
-  const std::size_t n = std::strlen(flag);
-  if (a.compare(0, n, flag) != 0 || a.size() < n + 1 || a[n] != '=') {
-    return false;
-  }
-  out = a.substr(n + 1);
-  return true;
+FlagTable shared_flags(BenchOptions& o) {
+  using K = Flag::Kind;
+  SystemConfig::ObsConfig& obs = o.obs;
+  return {
+      {"--jobs", K::Int, "N", "worker threads (0 = hardware_concurrency)",
+       &o.jobs},
+      {"--full", K::Switch, "", "verbose per-run diagnostics", &o.full},
+      {"--csv", K::Switch, "", "machine-readable output", &o.csv},
+      {"--sample", K::Double, "S",
+       "telemetry sample interval [sim s] (0 = off)", &obs.sample_every},
+      {"--slow-k", K::Int, "K", "record the K slowest transactions per run",
+       &obs.slow_k},
+      {"--metrics-json", K::String, "F",
+       "structured results file (default\n"
+       "results/BENCH_<bench>.json)",
+       &o.metrics_json},
+      {"--trace", K::String, "F", "Chrome trace-event JSON of one sweep point",
+       &o.trace_file},
+      {"--trace-run", K::Int, "I",
+       "which sweep point gets traced (default 0; taken modulo the\n"
+       "number of points)",
+       &o.trace_run},
+      {"--trace-capacity", K::U64, "N", "trace ring-buffer capacity [events]",
+       &obs.trace_capacity},
+      {"--trace-filter", K::Regex, "RE",
+       "record only events whose name matches the regex\n"
+       "(filtered events never enter the ring, so they don't\n"
+       "count as dropped)",
+       &obs.trace_filter},
+      {"--audit", K::Switch, "", "online invariant auditors (fail fast)",
+       &obs.audit},
+      {.name = "--progress",
+       .kind = K::Double,
+       .meta = "SECS",
+       .help = "stderr JSONL heartbeat every SECS wall seconds\n"
+               "(default 10)",
+       .target = &obs.progress_every_s,
+       .above = 0.0,
+       .bare = "10"},
+      {.name = "--timeseries",
+       .kind = K::OptFile,
+       .meta = "F",
+       .help = "per-window time series of the --trace-run point\n"
+               "(gemsd.timeseries.v1 JSON; default\n"
+               "results/TIMESERIES_<bench>.json; analyze with\n"
+               "gemsd_analyze --timeseries)",
+       .target = &o.timeseries_file,
+       .also = [&obs] { obs.timeseries = true; }},
+      {.name = "--timeseries-window",
+       .kind = K::Double,
+       .meta = "S",
+       .help = "window width [sim s] (default 0.5; doubles when\n"
+               "the 512-window cap is hit); implies --timeseries",
+       .target = &obs.timeseries_window,
+       .above = 0.0,
+       .also = [&obs] { obs.timeseries = true; }},
+      {.name = "--resources",
+       .kind = K::OptFile,
+       .meta = "F",
+       .help = "per-resource operational snapshot of the --trace-run\n"
+               "point (gemsd.resources.v1 JSON; default\n"
+               "results/RESOURCES_<bench>.json; analyze with\n"
+               "gemsd_analyze --bottleneck)",
+       .target = &o.resources_file,
+       .also = [&obs] { obs.resources = true; }},
+  };
 }
 
-bool to_double(const std::string& v, double& out) {
-  if (v.empty()) return false;
-  char* end = nullptr;
-  out = std::strtod(v.c_str(), &end);
-  return end && *end == '\0';
-}
-
-bool to_int(const std::string& v, int& out) {
-  double d;
-  if (!to_double(v, d) || !(d >= std::numeric_limits<int>::min() &&
-                            d <= std::numeric_limits<int>::max()) ||
-      d != static_cast<double>(static_cast<int>(d))) {
-    return false;
-  }
-  out = static_cast<int>(d);
-  return true;
-}
-
-bool to_u64(const std::string& v, std::uint64_t& out) {
-  // strtoull would wrap "-1" to 2^64-1.
-  if (v.empty() || v[0] == '-') return false;
-  char* end = nullptr;
-  out = std::strtoull(v.c_str(), &end, 10);
-  return end && *end == '\0';
+FlagTable bench_flags(BenchOptions& o) {
+  using K = Flag::Kind;
+  FlagTable t = {
+      {.name = "--quick",
+       .kind = K::Switch,
+       .help = "shorter measurement interval (CI-friendly):\n"
+               "warmup 2 s, measure 6 s. Later flags win, so\n"
+               "'--quick --warmup=5' restores the default cut",
+       .also =
+           [&o] {
+             o.warmup = 2.0;
+             o.measure = 6.0;
+           }},
+      {"--measure", K::Double, "S", "measurement seconds (default 20)",
+       &o.measure, 0.0},
+      {"--warmup", K::Double, "S",
+       "warm-up seconds (default 5, the\n"
+       "SystemConfig::warmup default; check it after the\n"
+       "fact with gemsd_analyze --timeseries)",
+       &o.warmup},
+      {"--max-nodes", K::Int, "N", "cap the node sweep (default 10)",
+       &o.max_nodes, 0.0},
+      {"--seed", K::U64, "S", "simulation seed (default 42)", &o.seed},
+      {"--no-json", K::Switch, "", "skip the structured results file",
+       &o.no_json},
+  };
+  FlagTable shared = shared_flags(o);
+  t.insert(t.end(), shared.begin(), shared.end());
+  return t;
 }
 
 std::string try_parse_bench_args(const std::vector<std::string>& args,
                                  BenchOptions& o) {
-  for (const std::string& a : args) {
-    std::string v;
-    bool num_ok = true;
-    if (a == "--quick") {
-      o.warmup = 2.0;
-      o.measure = 6.0;
-    } else if (value_of(a, "--measure", v)) {
-      num_ok = to_double(v, o.measure);
-    } else if (value_of(a, "--warmup", v)) {
-      num_ok = to_double(v, o.warmup);
-    } else if (value_of(a, "--max-nodes", v)) {
-      num_ok = to_int(v, o.max_nodes);
-    } else if (value_of(a, "--jobs", v)) {
-      num_ok = to_int(v, o.jobs);
-    } else if (value_of(a, "--seed", v)) {
-      num_ok = to_u64(v, o.seed);
-    } else if (a == "--full") {
-      o.full = true;
-    } else if (a == "--csv") {
-      o.csv = true;
-    } else if (value_of(a, "--sample", v)) {
-      num_ok = to_double(v, o.sample_every);
-    } else if (value_of(a, "--slow-k", v)) {
-      num_ok = to_int(v, o.slow_k);
-    } else if (value_of(a, "--metrics-json", v)) {
-      o.metrics_json = v;
-    } else if (a == "--no-json") {
-      o.no_json = true;
-    } else if (value_of(a, "--trace", v)) {
-      o.trace_file = v;
-    } else if (value_of(a, "--trace-run", v)) {
-      num_ok = to_int(v, o.trace_run);
-    } else if (value_of(a, "--trace-capacity", v)) {
-      std::uint64_t cap = 0;
-      num_ok = to_u64(v, cap);
-      o.trace_capacity = static_cast<std::size_t>(cap);
-    } else if (value_of(a, "--trace-filter", v)) {
-      // Validate here: a bad regex must refuse to start the sweep, not throw
-      // out of a worker thread mid-run.
-      try {
-        (void)obs::trace_name_filter(v);
-      } catch (const std::regex_error&) {
-        return "malformed value in '" + a + "' (not a valid regex)";
-      }
-      o.trace_filter = v;
-    } else if (a == "--audit") {
-      o.audit = true;
-    } else if (a == "--progress") {
-      o.progress_every_s = 10.0;
-    } else if (value_of(a, "--progress", v)) {
-      num_ok = to_double(v, o.progress_every_s) && o.progress_every_s > 0;
-    } else if (a == "--timeseries") {
-      o.timeseries = true;
-    } else if (value_of(a, "--timeseries", v)) {
-      o.timeseries = true;
-      o.timeseries_file = v;
-    } else if (value_of(a, "--timeseries-window", v)) {
-      o.timeseries = true;
-      num_ok = to_double(v, o.timeseries_window) && o.timeseries_window > 0;
-    } else if (a == "--resources") {
-      o.resources = true;
-    } else if (value_of(a, "--resources", v)) {
-      o.resources = true;
-      o.resources_file = v;
-    } else {
-      // Catches typos ("--job=4"), unknown flags, and the space form
-      // ("--warmup 5", which arrives as a bare "--warmup" plus a stray
-      // value) — running a full sweep with silently-defaulted settings is
-      // worse than refusing to start.
-      return "unknown argument '" + a + "' (value flags take --flag=value)";
-    }
-    if (!num_ok) return "malformed value in '" + a + "'";
-  }
-  return "";
+  return parse_flags(args, bench_flags(o));
 }
 
 std::string bench_usage() {
-  return
-      "  --quick            shorter measurement interval (CI-friendly):\n"
-      "                     warmup 2 s, measure 6 s. Later flags win, so\n"
-      "                     '--quick --warmup=5' restores the default cut\n"
-      "  --measure=S        measurement seconds (default 20)\n"
-      "  --warmup=S         warm-up seconds (default 5, the\n"
-      "                     SystemConfig::warmup default; check it after the\n"
-      "                     fact with gemsd_analyze --timeseries)\n"
-      "  --max-nodes=N      cap the node sweep\n"
-      "  --jobs=N           worker threads (0 = hardware_concurrency)\n"
-      "  --seed=S           simulation seed\n"
-      "  --full             verbose per-run diagnostics\n"
-      "  --csv              machine-readable output\n"
-      "  --sample=S         telemetry sample interval [sim s] (0 = off)\n"
-      "  --slow-k=K         record the K slowest transactions per run\n"
-      "  --metrics-json=F   structured results file\n"
-      "  --no-json          skip the structured results file\n"
-      "  --trace=F          Chrome trace-event JSON of one sweep point\n"
-      "  --trace-run=I      which sweep point gets traced (default 0)\n"
-      "  --trace-capacity=N trace ring-buffer capacity [events]\n"
-      "  --trace-filter=RE  record only events whose name matches the regex\n"
-      "  --audit            online invariant auditors (fail fast)\n"
-      "  --progress[=SECS]  stderr JSONL heartbeat (default 10s period)\n"
-      "  --timeseries[=F]   per-window time series of the --trace-run point\n"
-      "                     (gemsd.timeseries.v1 JSON; default\n"
-      "                     results/TIMESERIES_<bench>.json)\n"
-      "  --timeseries-window=S  window width [sim s] (default 0.5; doubles\n"
-      "                     when the window cap is hit)\n"
-      "  --resources[=F]    per-resource operational snapshot of the\n"
-      "                     --trace-run point (gemsd.resources.v1 JSON;\n"
-      "                     default results/RESOURCES_<bench>.json; analyze\n"
-      "                     with gemsd_analyze --bottleneck)\n";
+  BenchOptions o;
+  return flag_usage(bench_flags(o));
 }
 
 BenchOptions parse_bench_args(int argc, char** argv) {
@@ -238,31 +196,36 @@ std::vector<std::string> debit_credit_partition_names() {
   return {"B/T", "ACCT", "HIST"};
 }
 
+namespace {
+
+/// The sweep point --trace-run selects.
+std::size_t picked_point(const BenchOptions& opt, std::size_t points) {
+  return static_cast<std::size_t>(opt.trace_run < 0 ? 0 : opt.trace_run) %
+         (points ? points : 1);
+}
+
+}  // namespace
+
 void apply_obs_options(std::vector<SystemConfig>& cfgs,
                        const BenchOptions& opt) {
+  const std::size_t picked = picked_point(opt, cfgs.size());
   for (std::size_t i = 0; i < cfgs.size(); ++i) {
     auto& obs = cfgs[i].obs;
-    obs.sample_every = opt.sample_every;
-    obs.slow_k = opt.slow_k;
-    obs.audit = opt.audit;
-    obs.progress_every_s = opt.progress_every_s;
-    const std::size_t picked =
-        static_cast<std::size_t>(opt.trace_run < 0 ? 0 : opt.trace_run) %
-        (cfgs.empty() ? 1 : cfgs.size());
-    if (!opt.trace_file.empty() && i == picked) {
+    obs.sample_every = opt.obs.sample_every;
+    obs.slow_k = opt.obs.slow_k;
+    obs.audit = opt.obs.audit;
+    obs.progress_every_s = opt.obs.progress_every_s;
+    if (i != picked) continue;
+    if (!opt.trace_file.empty()) {
       obs.trace = true;
-      obs.trace_capacity = opt.trace_capacity;
-      obs.trace_filter = opt.trace_filter;
+      obs.trace_capacity = opt.obs.trace_capacity;
+      obs.trace_filter = opt.obs.trace_filter;
     }
-    // The time series records the same point as --trace.
-    if (opt.timeseries && i == picked) {
+    if (opt.obs.timeseries) {
       obs.timeseries = true;
-      obs.timeseries_window = opt.timeseries_window;
+      obs.timeseries_window = opt.obs.timeseries_window;
     }
-    // And the resource snapshot.
-    if (opt.resources && i == picked) {
-      obs.resources = true;
-    }
+    if (opt.obs.resources) obs.resources = true;
   }
 }
 
@@ -424,6 +387,13 @@ void write_telemetry_members(obs::JsonWriter& w, const obs::RunTelemetry* tel) {
   w.end_array();
 }
 
+/// `given`, or the default results/<KIND>_<bench>.json when it is "".
+std::string artifact_path(const char* kind, const std::string& bench,
+                          const std::string& given) {
+  return given.empty() ? "results/" + std::string(kind) + "_" + bench + ".json"
+                       : given;
+}
+
 bool write_text_file(const std::string& path, const std::string& text) {
   const std::filesystem::path p(path);
   std::error_code ec;
@@ -447,9 +417,7 @@ std::string write_bench_json(const std::string& bench,
                              const std::vector<BenchRun>& runs,
                              const std::vector<std::string>& partition_names) {
   if (opt.no_json) return "";
-  const std::string path = opt.metrics_json.empty()
-                               ? "results/BENCH_" + bench + ".json"
-                               : opt.metrics_json;
+  const std::string path = artifact_path("BENCH", bench, opt.metrics_json);
 
   obs::JsonWriter w;
   w.begin_object();
@@ -473,10 +441,10 @@ std::string write_bench_json(const std::string& bench,
   w.kv("measure", opt.measure);
   w.kv("max_nodes", static_cast<std::int64_t>(opt.max_nodes));
   w.kv("seed", static_cast<std::uint64_t>(opt.seed));
-  w.kv("sample_every", opt.sample_every);
-  w.kv("slow_k", static_cast<std::int64_t>(opt.slow_k));
-  w.kv("audit", opt.audit);
-  w.kv("trace_filter", opt.trace_filter);
+  w.kv("sample_every", opt.obs.sample_every);
+  w.kv("slow_k", static_cast<std::int64_t>(opt.obs.slow_k));
+  w.kv("audit", opt.obs.audit);
+  w.kv("trace_filter", opt.obs.trace_filter);
   w.end_object();
   w.key("partitions");
   w.begin_array();
@@ -506,100 +474,62 @@ std::string write_bench_json(const std::string& bench,
   return write_text_file(path, w.take()) ? path : "";
 }
 
-std::string write_trace_file(const BenchOptions& opt,
-                             const std::vector<BenchRun>& runs) {
-  if (opt.trace_file.empty() || runs.empty()) return "";
-  const std::size_t idx =
-      static_cast<std::size_t>(opt.trace_run < 0 ? 0 : opt.trace_run) %
-      runs.size();
+Artifacts write_artifacts(const std::string& bench, const std::string& caption,
+                          const BenchOptions& opt,
+                          const std::vector<BenchRun>& runs,
+                          const std::vector<std::string>& partition_names) {
+  Artifacts out;
+  out.results = write_bench_json(bench, caption, opt, runs, partition_names);
+  if (runs.empty()) return out;
+  const std::size_t idx = picked_point(opt, runs.size());
   const BenchRun& run = runs[idx];
-  const auto* tel = run.result.telemetry.get();
-  if (!tel || !tel->trace_enabled) {
-    std::fprintf(stderr, "warning: --trace given but run %zu has no trace\n",
-                 idx);
-    return "";
-  }
-  obs::JsonWriter git, seed;
-  git.value(obs::build_git_describe());
-  seed.value(static_cast<std::uint64_t>(run.config.seed));
-  obs::JsonWriter hash;
-  hash.value(obs::config_hash_hex(run.config));
-  const std::vector<std::pair<std::string, std::string>> metadata = {
-      {"git", git.take()},
-      {"seed", seed.take()},
-      {"config_hash", hash.take()},
-      {"config", obs::config_json(run.config)},
-  };
-  const std::string json = obs::chrome_trace_json(*tel, metadata);
-  return write_text_file(opt.trace_file, json) ? opt.trace_file : "";
-}
-
-std::string write_timeseries_file(const std::string& bench,
-                                  const BenchOptions& opt,
-                                  const std::vector<BenchRun>& runs) {
-  if (!opt.timeseries || runs.empty()) return "";
-  const std::size_t idx =
-      static_cast<std::size_t>(opt.trace_run < 0 ? 0 : opt.trace_run) %
-      runs.size();
-  const BenchRun& run = runs[idx];
-  const auto* tel = run.result.telemetry.get();
-  if (!tel || !tel->timeseries) {
-    std::fprintf(stderr,
-                 "warning: --timeseries given but run %zu has no "
-                 "time series\n",
-                 idx);
-    return "";
-  }
+  const obs::RunTelemetry* tel = run.result.telemetry.get();
   obs::JsonWriter git, seed, hash;
   git.value(obs::build_git_describe());
   seed.value(static_cast<std::uint64_t>(run.config.seed));
   hash.value(obs::config_hash_hex(run.config));
-  const std::vector<std::pair<std::string, std::string>> metadata = {
+  std::vector<std::pair<std::string, std::string>> metadata = {
       {"git", git.take()},
       {"seed", seed.take()},
       {"config_hash", hash.take()},
   };
-  const std::string path = opt.timeseries_file.empty()
-                               ? "results/TIMESERIES_" + bench + ".json"
-                               : opt.timeseries_file;
-  return write_text_file(path,
-                         obs::timeseries_json(*tel->timeseries, metadata))
-             ? path
-             : "";
+  // One document of the picked run: written when its flag was given and the
+  // run recorded it; `render` is called only then.
+  const auto emit = [&](bool wanted, bool recorded, const char* flag,
+                        const char* what, const std::string& path,
+                        const auto& render) -> std::string {
+    if (!wanted) return "";
+    if (!recorded) {
+      std::fprintf(stderr, "warning: --%s given but run %zu has no %s\n",
+                   flag, idx, what);
+      return "";
+    }
+    return write_text_file(path, render()) ? path : "";
+  };
+  out.trace = emit(!opt.trace_file.empty(), tel && tel->trace_enabled, "trace",
+                   "trace", opt.trace_file, [&] {
+                     auto meta = metadata;
+                     meta.emplace_back("config", obs::config_json(run.config));
+                     return obs::chrome_trace_json(*tel, meta);
+                   });
+  out.timeseries =
+      emit(opt.obs.timeseries, tel && tel->timeseries, "timeseries",
+           "time series",
+           artifact_path("TIMESERIES", bench, opt.timeseries_file),
+           [&] { return obs::timeseries_json(*tel->timeseries, metadata); });
+  out.resources =
+      emit(opt.obs.resources, tel && tel->resources, "resources",
+           "resource snapshot",
+           artifact_path("RESOURCES", bench, opt.resources_file),
+           [&] { return obs::resources_json(*tel->resources, metadata); });
+  return out;
 }
 
-std::string write_resources_file(const std::string& bench,
-                                 const BenchOptions& opt,
-                                 const std::vector<BenchRun>& runs) {
-  if (!opt.resources || runs.empty()) return "";
-  const std::size_t idx =
-      static_cast<std::size_t>(opt.trace_run < 0 ? 0 : opt.trace_run) %
-      runs.size();
-  const BenchRun& run = runs[idx];
-  const auto* tel = run.result.telemetry.get();
-  if (!tel || !tel->resources) {
-    std::fprintf(stderr,
-                 "warning: --resources given but run %zu has no "
-                 "resource snapshot\n",
-                 idx);
-    return "";
-  }
-  obs::JsonWriter git, seed, hash;
-  git.value(obs::build_git_describe());
-  seed.value(static_cast<std::uint64_t>(run.config.seed));
-  hash.value(obs::config_hash_hex(run.config));
-  const std::vector<std::pair<std::string, std::string>> metadata = {
-      {"git", git.take()},
-      {"seed", seed.take()},
-      {"config_hash", hash.take()},
-  };
-  const std::string path = opt.resources_file.empty()
-                               ? "results/RESOURCES_" + bench + ".json"
-                               : opt.resources_file;
-  return write_text_file(path,
-                         obs::resources_json(*tel->resources, metadata))
-             ? path
-             : "";
+void Artifacts::print() const {
+  if (!results.empty()) std::printf("results: %s\n", results.c_str());
+  if (!trace.empty()) std::printf("trace: %s\n", trace.c_str());
+  if (!timeseries.empty()) std::printf("timeseries: %s\n", timeseries.c_str());
+  if (!resources.empty()) std::printf("resources: %s\n", resources.c_str());
 }
 
 std::string fingerprint_line(const std::string& bench,
@@ -610,35 +540,6 @@ std::string fingerprint_line(const std::string& bench,
   s += " seed=" + std::to_string(cfg.seed);
   s += " config=" + obs::config_hash_hex(cfg);
   return s;
-}
-
-void finish_bench(const std::string& bench, const std::string& caption,
-                  const BenchOptions& opt,
-                  const std::vector<SystemConfig>& cfgs,
-                  const std::vector<RunResult>& runs,
-                  const std::vector<std::string>& partition_names) {
-  const auto bruns = zip_runs(cfgs, runs);
-  const std::string json_path =
-      write_bench_json(bench, caption, opt, bruns, partition_names);
-  const std::string trace_path = write_trace_file(opt, bruns);
-  const std::string ts_path = write_timeseries_file(bench, opt, bruns);
-  const std::string res_path = write_resources_file(bench, opt, bruns);
-  const SystemConfig stamp_cfg = cfgs.empty() ? SystemConfig{} : cfgs.front();
-  if (opt.csv) {
-    std::printf("# %s\n", fingerprint_line(bench, stamp_cfg).c_str());
-    print_csv(runs, partition_names);
-  } else {
-    print_table(caption, runs, partition_names, opt.full);
-    std::printf("%s\n", fingerprint_line(bench, stamp_cfg).c_str());
-    if (!json_path.empty()) std::printf("results: %s\n", json_path.c_str());
-    if (!trace_path.empty()) std::printf("trace: %s\n", trace_path.c_str());
-    if (!ts_path.empty()) {
-      std::printf("timeseries: %s\n", ts_path.c_str());
-    }
-    if (!res_path.empty()) {
-      std::printf("resources: %s\n", res_path.c_str());
-    }
-  }
 }
 
 }  // namespace gemsd

@@ -1,7 +1,6 @@
 #include "core/scenario.hpp"
 
 #include <cstdio>
-#include <filesystem>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -68,14 +67,6 @@ std::size_t leading_group_dims(const Scenario& sc) {
     }
   }
   return g;
-}
-
-void ensure_parent_dir(const std::string& path) {
-  const std::filesystem::path p(path);
-  if (p.has_parent_path()) {
-    std::error_code ec;
-    std::filesystem::create_directories(p.parent_path(), ec);
-  }
 }
 
 }  // namespace
@@ -261,9 +252,6 @@ void emit_scenario(const Scenario& sc, const BenchOptions& opt,
   if (jopt.metrics_json.empty() && !out_dir.empty()) {
     jopt.metrics_json = out_dir + "/BENCH_" + sc.name + ".json";
   }
-  if (!jopt.no_json && !jopt.metrics_json.empty()) {
-    ensure_parent_dir(jopt.metrics_json);
-  }
 
   const ScenarioPlan& plan = res.plan;
   const SystemConfig stamp_cfg =
@@ -271,18 +259,14 @@ void emit_scenario(const Scenario& sc, const BenchOptions& opt,
                          : plan.cells.front().cfg;
 
   if (sc.report) {
-    write_bench_json(sc.name, sc.caption, jopt, {}, plan.partition_names);
+    write_artifacts(sc.name, sc.caption, jopt, {}, plan.partition_names);
     std::printf("# %s\n", fingerprint_line(sc.name, stamp_cfg).c_str());
     sc.report();
     return;
   }
 
-  const std::string json_path =
-      write_bench_json(sc.name, sc.caption, jopt, res.runs,
-                       plan.partition_names);
-  const std::string trace_path = write_trace_file(jopt, res.runs);
-  const std::string ts_path = write_timeseries_file(sc.name, jopt, res.runs);
-  const std::string res_path = write_resources_file(sc.name, jopt, res.runs);
+  const Artifacts written = write_artifacts(sc.name, sc.caption, jopt,
+                                            res.runs, plan.partition_names);
 
   if (!opt.csv && plan.trace) {
     const auto stats = workload::compute_stats(*plan.trace);
@@ -322,14 +306,7 @@ void emit_scenario(const Scenario& sc, const BenchOptions& opt,
     }
     std::printf("%s\n", fingerprint_line(sc.name, stamp_cfg).c_str());
   }
-  if (!json_path.empty()) std::printf("results: %s\n", json_path.c_str());
-  if (!trace_path.empty()) std::printf("trace: %s\n", trace_path.c_str());
-  if (!ts_path.empty()) {
-    std::printf("timeseries: %s\n", ts_path.c_str());
-  }
-  if (!res_path.empty()) {
-    std::printf("resources: %s\n", res_path.c_str());
-  }
+  written.print();
   if (sc.post) sc.post(res, opt);
   if (!sc.note.empty()) std::printf("\n%s\n", sc.note.c_str());
 }

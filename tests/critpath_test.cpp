@@ -311,7 +311,7 @@ TEST(TraceFilter, DoesNotPerturbTheSimulationAndRecordsOnlyMatches) {
 TEST(TraceFilter, BenchArgsValidateTheRegexUpFront) {
   BenchOptions o;
   EXPECT_TRUE(try_parse_bench_args({"--trace-filter=^io\\."}, o).empty());
-  EXPECT_EQ(o.trace_filter, "^io\\.");
+  EXPECT_EQ(o.obs.trace_filter, "^io\\.");
   BenchOptions bad;
   const std::string err = try_parse_bench_args({"--trace-filter=("}, bad);
   EXPECT_NE(err.find("not a valid regex"), std::string::npos) << err;

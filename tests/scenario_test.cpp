@@ -2,11 +2,14 @@
 // registry, the strict bench-flag parser, and the spec export round trip.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "core/config_file.hpp"
@@ -45,15 +48,15 @@ TEST(BenchArgs, ParsesEveryKnownFlag) {
   EXPECT_EQ(o.seed, 7u);
   EXPECT_TRUE(o.csv);
   EXPECT_TRUE(o.full);
-  EXPECT_TRUE(o.audit);
+  EXPECT_TRUE(o.obs.audit);
   EXPECT_TRUE(o.no_json);
   EXPECT_DOUBLE_EQ(o.warmup, 1.5);
   EXPECT_DOUBLE_EQ(o.measure, 4.0);
-  EXPECT_DOUBLE_EQ(o.sample_every, 0.5);
-  EXPECT_EQ(o.slow_k, 3);
+  EXPECT_DOUBLE_EQ(o.obs.sample_every, 0.5);
+  EXPECT_EQ(o.obs.slow_k, 3);
   EXPECT_EQ(o.metrics_json, "x.json");
   EXPECT_EQ(o.trace_file, "t.json");
-  EXPECT_EQ(o.trace_capacity, 1024u);
+  EXPECT_EQ(o.obs.trace_capacity, 1024u);
 }
 
 TEST(BenchArgs, RejectsUnknownFlag) {
@@ -87,6 +90,61 @@ TEST(BenchArgs, UsageListsEveryFlag) {
         "--trace-capacity=", "--audit"}) {
     EXPECT_NE(u.find(flag), std::string::npos) << flag;
   }
+}
+
+// Walks the whole table gemsd_bench and bench_kernel parse (gemsd_run's
+// shared part included): every entry is in the generated usage, and a
+// valid value lands in the member of the options object it is bound to.
+TEST(BenchArgs, EveryTableEntryIsInTheUsageAndSetsItsMember) {
+  const std::string usage = bench_usage();
+  std::istringstream lines(usage);
+  for (std::string line; std::getline(lines, line);) {
+    EXPECT_LE(line.size(), 80u) << line;
+  }
+  BenchOptions o;
+  const FlagTable table = bench_flags(o);
+  for (const Flag& f : table) {
+    SCOPED_TRACE(f.name);
+    EXPECT_NE(usage.find("  " + f.name), std::string::npos);
+    std::string value;
+    switch (f.kind) {
+      case Flag::Kind::Switch: break;
+      case Flag::Kind::Int: value = "3"; break;
+      case Flag::Kind::U64: value = "7"; break;
+      case Flag::Kind::Double: value = "2.5"; break;
+      case Flag::Kind::Regex: value = "^lock"; break;
+      case Flag::Kind::String:
+      case Flag::Kind::OptFile: value = "out.json"; break;
+    }
+    const std::string arg = value.empty() ? f.name : f.name + "=" + value;
+    ASSERT_EQ(parse_flags({arg}, table), "");
+    const void* member = std::visit(
+        [&](auto p) -> const void* {
+          using P = decltype(p);
+          if constexpr (std::is_same_v<P, std::monostate>) {
+            EXPECT_TRUE(f.also) << "an entry without a member must act";
+            return &o;
+          } else {
+            using T = std::remove_pointer_t<P>;
+            if constexpr (std::is_same_v<T, bool>) {
+              EXPECT_TRUE(*p);
+            } else if constexpr (std::is_same_v<T, std::string>) {
+              EXPECT_EQ(*p, value);
+            } else {
+              EXPECT_EQ(*p, static_cast<T>(std::stod(value)));
+            }
+            return p;
+          }
+        },
+        f.target);
+    const auto base = reinterpret_cast<std::uintptr_t>(&o);
+    const auto at = reinterpret_cast<std::uintptr_t>(member);
+    EXPECT_TRUE(at >= base && at < base + sizeof o) << "bound elsewhere";
+  }
+  // Values that run correctly get no range.
+  EXPECT_EQ(try_parse_bench_args(
+                {"--trace-capacity=0", "--trace-run=-5", "--jobs=-4"}, o),
+            "");
 }
 
 // --- registry sanity ------------------------------------------------------

@@ -54,12 +54,12 @@
 //
 // Exit codes: 0 clean, 1 regression / failed cross-check, 2 bad input.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "core/flags.hpp"
 #include "obs/analyze.hpp"
 #include "obs/critpath.hpp"
 #include "obs/json.hpp"
@@ -84,7 +84,7 @@ bool load_json(const std::string& path, gemsd::obs::JsonValue& out) {
   return true;
 }
 
-int usage() {
+int usage(const gemsd::FlagTable& table) {
   std::fprintf(
       stderr,
       "usage: gemsd_analyze <trace.json> [--results=FILE] [--run=I]\n"
@@ -94,7 +94,8 @@ int usage() {
       "                     [--tolerance=T]\n"
       "       gemsd_analyze --bottleneck[=FILE] [<resources.json>]\n"
       "       gemsd_analyze --timeseries <timeseries.json> [--csv=FILE]\n"
-      "       gemsd_analyze --memory-budget=BYTES <results.json>\n");
+      "       gemsd_analyze --memory-budget=BYTES <results.json>\n\n%s",
+      gemsd::flag_usage(table).c_str());
   return 2;
 }
 
@@ -148,70 +149,64 @@ int main(int argc, char** argv) {
   using namespace gemsd;
 
   std::string trace_path, results_path;
-  std::string compare_base, compare_cand;
   bool compare = false;
   bool critpath = false;
   bool timeseries = false;
   bool bottleneck = false;
   double memory_budget = 0.0;  // > 0: --memory-budget mode
+  std::string bottleneck_file;
   std::string critpath_file;
   std::string csv_file;
   int run_index = 0;
   int top_k = 10;
   double tolerance = -1.0;  // mode-specific default
 
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (std::strcmp(a, "--compare") == 0) {
-      compare = true;
-    } else if (std::strcmp(a, "--timeseries") == 0) {
-      timeseries = true;
-    } else if (std::strcmp(a, "--bottleneck") == 0) {
-      bottleneck = true;
-    } else if (std::strncmp(a, "--bottleneck=", 13) == 0) {
-      bottleneck = true;
-      trace_path = a + 13;
-    } else if (std::strncmp(a, "--memory-budget=", 16) == 0) {
-      memory_budget = std::atof(a + 16);
-      if (memory_budget <= 0.0) {
-        std::fprintf(stderr, "error: bad --memory-budget value\n");
-        return usage();
-      }
-    } else if (std::strncmp(a, "--csv=", 6) == 0) {
-      csv_file = a + 6;
-    } else if (std::strcmp(a, "--critical-path") == 0) {
-      critpath = true;
-    } else if (std::strncmp(a, "--critical-path=", 16) == 0) {
-      critpath = true;
-      critpath_file = a + 16;
-    } else if (std::strncmp(a, "--results=", 10) == 0) {
-      results_path = a + 10;
-    } else if (std::strncmp(a, "--run=", 6) == 0) {
-      run_index = std::atoi(a + 6);
-    } else if (std::strncmp(a, "--top=", 6) == 0) {
-      top_k = std::atoi(a + 6);
-    } else if (std::strncmp(a, "--tolerance=", 12) == 0) {
-      tolerance = std::atof(a + 12);
-    } else if (a[0] == '-') {
-      std::fprintf(stderr, "error: unknown option %s\n", a);
-      return usage();
-    } else if (compare && compare_base.empty()) {
-      compare_base = a;
-    } else if (compare && compare_cand.empty()) {
-      compare_cand = a;
-    } else if (!compare && trace_path.empty()) {
-      trace_path = a;
-    } else {
-      return usage();
-    }
+  using K = Flag::Kind;
+  const FlagTable table = {
+      {"--compare", K::Switch, "", "diff two results documents", &compare},
+      {"--timeseries", K::Switch, "", "steady-state report", &timeseries},
+      {.name = "--bottleneck",
+       .kind = K::OptFile,
+       .meta = "FILE",
+       .help = "capacity analysis of a resources document",
+       .target = &bottleneck_file,
+       .also = [&bottleneck] { bottleneck = true; }},
+      {"--memory-budget", K::Double, "BYTES",
+       "peak-RSS gate over a results document", &memory_budget, 0.0},
+      {"--csv", K::String, "FILE", "per-window time-series CSV", &csv_file},
+      {.name = "--critical-path",
+       .kind = K::OptFile,
+       .meta = "FILE",
+       .help = "critical-path profile (FILE: gemsd.critpath.v1 JSON)",
+       .target = &critpath_file,
+       .also = [&critpath] { critpath = true; }},
+      {"--results", K::String, "FILE",
+       "results document to cross-check the attribution with",
+       &results_path},
+      {"--run", K::Int, "I", "which run of --results (default 0)",
+       &run_index},
+      {"--top", K::Int, "K", "rows per ranking (default 10)", &top_k},
+      {"--tolerance", K::Double, "T",
+       "relative tolerance (default 0.05 for --compare, else 0.01)",
+       &tolerance},
+  };
+  std::vector<std::string> files;
+  if (const std::string err =
+          parse_flags({argv + 1, argv + argc}, table, &files);
+      !err.empty()) {
+    std::fprintf(stderr, "error: %s\n", err.c_str());
+    return usage(table);
   }
 
   if (compare) {
-    if (compare_base.empty() || compare_cand.empty()) return usage();
-    return run_compare(compare_base, compare_cand,
+    if (files.size() != 2) return usage(table);
+    return run_compare(files[0], files[1],
                        tolerance < 0.0 ? 0.05 : tolerance);
   }
-  if (trace_path.empty()) return usage();
+  if (files.size() > 1) return usage(table);
+  if (!files.empty()) trace_path = files.front();
+  if (!bottleneck_file.empty()) trace_path = bottleneck_file;
+  if (trace_path.empty()) return usage(table);
   if (memory_budget > 0.0) return run_memory_budget(trace_path, memory_budget);
   if (tolerance < 0.0) tolerance = 0.01;
 

@@ -8,18 +8,15 @@
 //   ./gemsd_bench --filter=REGEX  [bench flags]
 //   ./gemsd_bench --export-spec=DIR [--filter=REGEX] [bench flags]
 //
-// Bench flags are the shared set every retired bench_* main took (--quick,
-// --measure=, --warmup=, --max-nodes=, --jobs=, --seed=, --full, --csv,
-// --sample=, --slow-k=, --metrics-json=, --no-json, --trace=, --trace-run=,
-// --trace-capacity=, --audit). Output is unchanged: the same tables/CSV on
-// stdout and the same gemsd.results.v1 JSON (BENCH_<name>.json, to
-// --out-dir=DIR when given, else the working directory).
+// The bench flags (--quick, --measure=, --jobs=, --trace=, ...) are the
+// flag table in src/core/experiment.cpp; `gemsd_bench --help` lists them.
+// Output is the same tables/CSV on stdout and the same gemsd.results.v1 JSON
+// (BENCH_<name>.json, to --out-dir=DIR when given, else results/).
 //
 // --export-spec writes one specs/<name>.ini per exportable scenario in the
 // selection; gemsd_run executes those to bit-identical metrics (the export
 // self-verifies the round trip and fails loudly on drift).
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <regex>
 #include <string>
@@ -28,59 +25,46 @@
 #include "core/experiment.hpp"
 #include "core/scenario.hpp"
 
-namespace {
+int main(int argc, char** argv) {
+  using namespace gemsd;
+  using K = Flag::Kind;
 
-void usage(std::FILE* to) {
-  std::fprintf(
-      to,
+  bool list = false, help = false;
+  std::string scenario_name, filter, export_dir, out_dir;
+  BenchOptions opt;
+  FlagTable table = {
+      {"--list", K::Switch, "",
+       "list registered scenarios (name, runs, summary)", &list},
+      {"--scenario", K::String, "NAME", "run one scenario by exact name",
+       &scenario_name},
+      {"--filter", K::Regex, "REGEX",
+       "select scenarios whose name matches REGEX", &filter},
+      {"--export-spec", K::String, "DIR",
+       "write DIR/<name>.ini for the selected exportable\n"
+       "scenarios (gemsd_run input, round-trip verified)",
+       &export_dir},
+      {"--out-dir", K::String, "DIR",
+       "directory for BENCH_<name>.json results files", &out_dir},
+      {"--help", K::Switch, "", "print this usage and exit (also -h)", &help},
+  };
+  const FlagTable bench = bench_flags(opt);
+  table.insert(table.end(), bench.begin(), bench.end());
+  const std::string usage =
       "usage: gemsd_bench --list [--filter=REGEX]\n"
       "       gemsd_bench --scenario=NAME [bench flags]\n"
       "       gemsd_bench --filter=REGEX  [bench flags]\n"
       "       gemsd_bench --export-spec=DIR [--filter=REGEX] [bench flags]\n"
-      "\n"
-      "  --list             list registered scenarios (name, runs, summary)\n"
-      "  --scenario=NAME    run one scenario by exact name\n"
-      "  --filter=REGEX     select scenarios whose name matches REGEX\n"
-      "  --export-spec=DIR  write DIR/<name>.ini for the selected exportable\n"
-      "                     scenarios (gemsd_run input, round-trip verified)\n"
-      "  --out-dir=DIR      directory for BENCH_<name>.json results files\n"
-      "%s",
-      gemsd::bench_usage().c_str());
-}
+      "\n" +
+      flag_usage(table);
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  using namespace gemsd;
-
-  bool list = false;
-  std::string scenario_name, filter, export_dir, out_dir;
-  std::vector<std::string> rest;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--list") {
-      list = true;
-    } else if (a.rfind("--scenario=", 0) == 0) {
-      scenario_name = a.substr(11);
-    } else if (a.rfind("--filter=", 0) == 0) {
-      filter = a.substr(9);
-    } else if (a.rfind("--export-spec=", 0) == 0) {
-      export_dir = a.substr(14);
-    } else if (a.rfind("--out-dir=", 0) == 0) {
-      out_dir = a.substr(10);
-    } else if (a == "--help" || a == "-h") {
-      usage(stdout);
-      return 0;
-    } else {
-      rest.push_back(a);
-    }
-  }
-
-  BenchOptions opt;
-  if (const std::string err = try_parse_bench_args(rest, opt); !err.empty()) {
-    std::fprintf(stderr, "gemsd_bench: %s\n\n", err.c_str());
-    usage(stderr);
+  if (const std::string err = parse_flags({argv + 1, argv + argc}, table);
+      !err.empty()) {
+    std::fprintf(stderr, "gemsd_bench: %s\n\n%s", err.c_str(), usage.c_str());
     return 2;
+  }
+  if (help) {
+    std::fputs(usage.c_str(), stdout);
+    return 0;
   }
 
   // Resolve the selection: one exact name, a regex, or (for --list and
@@ -96,16 +80,7 @@ int main(int argc, char** argv) {
     }
     sel.push_back(sc);
   } else {
-    std::regex re;
-    if (!filter.empty()) {
-      try {
-        re = std::regex(filter);
-      } catch (const std::regex_error& e) {
-        std::fprintf(stderr, "gemsd_bench: bad --filter regex: %s\n",
-                     e.what());
-        return 2;
-      }
-    }
+    const std::regex re(filter);  // the flag table validated it
     for (const Scenario& sc : scenario_registry()) {
       if (filter.empty() || std::regex_search(sc.name, re)) {
         sel.push_back(&sc);
@@ -160,7 +135,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "gemsd_bench: nothing selected (use --list, "
                  "--scenario=NAME, or --filter=REGEX)\n\n");
-    usage(stderr);
+    std::fputs(usage.c_str(), stderr);
     return 2;
   }
   if (sel.size() > 1 && !opt.metrics_json.empty()) {
