@@ -1,7 +1,6 @@
 // Microbenchmarks for the discrete-event kernel: raw event throughput,
 // coroutine process spawn/reap and nested-await cost, resource contention
-// handling, and the fast-path split between handle-resume events (no
-// allocation) and callback events (side-slab std::function slots).
+// handling and queue depth. Every event is a coroutine resume.
 //
 // Besides the google-benchmark console table this emits the same
 // "gemsd.results.v1" document as the figure benches (default
@@ -25,20 +24,6 @@
 namespace {
 
 using namespace gemsd::sim;
-
-void BM_ScheduleCallbacks(benchmark::State& state) {
-  for (auto _ : state) {
-    Scheduler s;
-    long hits = 0;
-    for (int i = 0; i < 10000; ++i) {
-      s.schedule_call(i * 1e-6, [&hits] { ++hits; });
-    }
-    s.run_all();
-    benchmark::DoNotOptimize(hits);
-  }
-  state.SetItemsProcessed(state.iterations() * 10000);
-}
-BENCHMARK(BM_ScheduleCallbacks);
 
 Task<void> hopper(Scheduler& s, int hops) {
   for (int i = 0; i < hops; ++i) co_await s.delay(1e-6);
@@ -119,28 +104,6 @@ void BM_TaskAwaitChain(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 10 * 1000);
 }
 BENCHMARK(BM_TaskAwaitChain);
-
-// Mixed workload: the realistic event stream of a full simulation —
-// coroutine resumes (page waits, CPU grants) interleaved with timer-style
-// callbacks (arrival generators). One in every `ratio` events is a callback;
-// the rest ride the allocation-free handle lane.
-void BM_MixedHandleCallback(benchmark::State& state) {
-  const int ratio = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    Scheduler s;
-    long hits = 0;
-    const int procs = 50;
-    for (int p = 0; p < procs; ++p) s.spawn(hopper(s, 100));
-    for (int i = 0; i < procs * 100 / ratio; ++i) {
-      s.schedule_call(i * 1e-6, [&hits] { ++hits; });
-    }
-    s.run_all();
-    benchmark::DoNotOptimize(hits);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          (50 * 100 + 50 * 100 / state.range(0)));
-}
-BENCHMARK(BM_MixedHandleCallback)->Arg(2)->Arg(10)->Arg(100);
 
 // Queue-depth sweep: schedule `depth` pending events before draining so the
 // heap's sift cost (log depth) and memory traffic dominate. The flat 24-byte

@@ -20,7 +20,7 @@ namespace gemsd::cc {
 ///
 /// Routing is a pure function of (policy, shard count, PageId/key): no
 /// simulation state, no randomness — the same reference stream routes the
-/// same way at any engine kind, worker count or sweep parallelism, which is
+/// same way at any sweep parallelism, which is
 /// what makes sharded runs deterministic and `shards=1` the oracle (every
 /// policy maps everything to shard 0 when shards == 1).
 class ShardMap {

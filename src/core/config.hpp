@@ -143,9 +143,6 @@ struct SystemConfig {
     /// count — the knob that lets long runs keep a complete window of just
     /// lock/flow/IO events.
     std::string trace_filter = "";
-    /// Periodic sampler interval in simulated seconds (0 = off). Samples
-    /// start at t=0 so warm-up convergence is visible.
-    sim::SimTime sample_every = 0.0;
     /// Keep the K slowest transactions with full phase breakdowns (0 = off).
     int slow_k = 0;
     /// Online invariant auditors in the TM/lock/buffer hot paths (fail fast

@@ -193,11 +193,13 @@ const KeyDef kSystemKeys[] = {
     {"warmup",
      [](SystemConfig& c, const std::string& v, int l) {
        c.warmup = spec_num(v, l);
+       if (!(c.warmup >= 0)) fail(l, "warmup must be >= 0");
      },
      [](const SystemConfig& c) { return fmt_num(c.warmup); }},
     {"measure",
      [](SystemConfig& c, const std::string& v, int l) {
        c.measure = spec_num(v, l);
+       if (!(c.measure > 0)) fail(l, "measure must be > 0");
      },
      [](const SystemConfig& c) { return fmt_num(c.measure); }},
     {"seed",
@@ -253,6 +255,7 @@ const KeyDef kSystemKeys[] = {
     {"cpu_procs",
      [](SystemConfig& c, const std::string& v, int l) {
        c.cpu.processors = spec_int(v, l);
+       if (c.cpu.processors < 1) fail(l, "cpu_procs must be >= 1");
      },
      [](const SystemConfig& c) { return fmt_int(c.cpu.processors); }},
     {"gem_entry_us",
@@ -385,7 +388,9 @@ SpecDoc parse_spec_doc(std::istream& in) {
       } else if (lkey == "trace_file") {
         proto.trace_file = val;
       } else if (lkey == "trace_txns") {
-        proto.trace_txns = static_cast<std::size_t>(spec_i64(val, line));
+        const std::int64_t n = spec_i64(val, line);
+        if (n < 0) fail(line, "trace_txns must be >= 0");
+        proto.trace_txns = static_cast<std::size_t>(n);
       } else {
         fail(line, "unknown [workload] key '" + key + "'");
       }

@@ -79,8 +79,6 @@ FlagTable shared_flags(BenchOptions& o) {
        &o.jobs},
       {"--full", K::Switch, "", "verbose per-run diagnostics", &o.full},
       {"--csv", K::Switch, "", "machine-readable output", &o.csv},
-      {"--sample", K::Double, "S",
-       "telemetry sample interval [sim s] (0 = off)", &obs.sample_every},
       {"--slow-k", K::Int, "K", "record the K slowest transactions per run",
        &obs.slow_k},
       {"--metrics-json", K::String, "F",
@@ -211,7 +209,6 @@ void apply_obs_options(std::vector<SystemConfig>& cfgs,
   const std::size_t picked = picked_point(opt, cfgs.size());
   for (std::size_t i = 0; i < cfgs.size(); ++i) {
     auto& obs = cfgs[i].obs;
-    obs.sample_every = opt.obs.sample_every;
     obs.slow_k = opt.obs.slow_k;
     obs.audit = opt.obs.audit;
     obs.progress_every_s = opt.obs.progress_every_s;
@@ -339,29 +336,6 @@ void write_telemetry_members(obs::JsonWriter& w, const obs::RunTelemetry* tel) {
   }
   w.end_object();
 
-  w.key("samples");
-  w.begin_array();
-  if (tel) {
-    for (const auto& s : tel->samples) {
-      w.begin_object();
-      w.kv("t", s.t);
-      w.kv("throughput", s.throughput);
-      w.kv("resp_ms", s.resp_ms);
-      w.kv("commits", static_cast<std::uint64_t>(s.commits));
-      w.kv("aborts", static_cast<std::uint64_t>(s.aborts));
-      w.kv("active_txns", s.active_txns);
-      w.kv("mpl_waiting", s.mpl_waiting);
-      w.kv("cpu_busy", s.cpu_busy);
-      w.kv("gem_busy", s.gem_busy);
-      w.kv("net_busy", s.net_busy);
-      w.kv("disk_queue", s.disk_queue);
-      w.kv("sched_queue", s.sched_queue);
-      w.kv("in_warmup", s.in_warmup);
-      w.end_object();
-    }
-  }
-  w.end_array();
-
   w.key("slowest");
   w.begin_array();
   if (tel) {
@@ -441,7 +415,6 @@ std::string write_bench_json(const std::string& bench,
   w.kv("measure", opt.measure);
   w.kv("max_nodes", static_cast<std::int64_t>(opt.max_nodes));
   w.kv("seed", static_cast<std::uint64_t>(opt.seed));
-  w.kv("sample_every", opt.obs.sample_every);
   w.kv("slow_k", static_cast<std::int64_t>(opt.obs.slow_k));
   w.kv("audit", opt.obs.audit);
   w.kv("trace_filter", opt.obs.trace_filter);

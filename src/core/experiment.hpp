@@ -41,7 +41,7 @@ struct BenchOptions {
   /// The observers as given on the command line. apply_obs_options copies
   /// the per-run ones to every sweep point, and the trace ring, time series
   /// and resource snapshot to the --trace-run point only.
-  SystemConfig::ObsConfig obs{.sample_every = 1.0, .slow_k = 10};
+  SystemConfig::ObsConfig obs{.slow_k = 10};
   std::string metrics_json;     ///< "" = results/BENCH_<bench>.json
   bool no_json = false;
   std::string trace_file;       ///< "" = no trace
@@ -75,7 +75,7 @@ BenchOptions parse_bench_args(int argc, char** argv);
 /// Names of the debit-credit partitions (report columns).
 std::vector<std::string> debit_credit_partition_names();
 
-/// Stamp the result-neutral options on every config of a sweep: sampler,
+/// Stamp the result-neutral options on every config of a sweep: the
 /// slow-transaction log, auditors and heartbeat on all points; the trace
 /// ring (when --trace was given), the time series and the resource snapshot
 /// only on the --trace-run point.

@@ -78,7 +78,6 @@ class System {
 
   // observability (null/empty unless enabled in cfg.obs)
   obs::TraceRecorder* trace() { return trace_.get(); }
-  const std::vector<obs::Sample>& samples() const { return samples_; }
   const obs::SlowTxnLog& slow_log() const { return slow_log_; }
   obs::Auditor* auditor() { return audit_.get(); }
   obs::TimeSeriesRecorder* timeseries() { return ts_.get(); }
@@ -108,10 +107,6 @@ class System {
  private:
   sim::Task<void> source();
   sim::Task<void> recovery_process(NodeId n, sim::SimTime crash_time);
-  /// Periodic telemetry probe (cfg.obs.sample_every > 0): reads counters and
-  /// instantaneous device state, never mutates simulation state or draws
-  /// random numbers — observation must not perturb results.
-  sim::Task<void> sampler();
   /// --progress heartbeat: invoked from the scheduler's event loop every few
   /// thousand events; emits one stderr JSONL line when a wall-clock period
   /// has elapsed. Reads counters only — zero perturbation.
@@ -140,7 +135,6 @@ class System {
   std::unique_ptr<obs::TimeSeriesRecorder> ts_;
   std::unique_ptr<obs::ResourceRecorder> resrec_;
   obs::SlowTxnLog slow_log_;
-  std::vector<obs::Sample> samples_;
   sim::SimTime stats_start_ = 0;
   std::chrono::steady_clock::time_point progress_epoch_ =
       std::chrono::steady_clock::now();
@@ -149,7 +143,6 @@ class System {
   std::uint64_t progress_prev_commits_ = 0;
   sim::SimTime progress_prev_sim_ = 0;
   bool source_started_ = false;
-  bool stats_reset_ = false;  ///< samples before the first reset are warm-up
   std::uint64_t recovery_ids_ = 0;
 };
 

@@ -45,7 +45,6 @@ class CpuSet {
   }
   const sim::MeanStat& wait_stat() const { return procs_.wait_stat(); }
   void reset_stats() { procs_.reset_stats(); }
-  int processors() const { return cfg_.processors; }
   const sim::Resource& resource() const { return procs_; }
   /// Mutable station (observability wiring: wait-sketch attachment).
   sim::Resource& resource() { return procs_; }

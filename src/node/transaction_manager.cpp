@@ -176,7 +176,6 @@ sim::Task<bool> TransactionManager::execute(Txn& txn) {
 }
 
 sim::Task<void> TransactionManager::run(Txn txn) {
-  ++active_;
   const double qwait = co_await mpl_.acquire();
   txn.t_queue = qwait;
   metrics_.mpl_wait.add(qwait);
@@ -194,7 +193,6 @@ sim::Task<void> TransactionManager::run(Txn txn) {
       // Crash: the transaction is lost, not restarted.
       metrics_.lost_txns.inc();
       mpl_.release();
-      --active_;
       co_return;
     }
     metrics_.aborts.inc();
@@ -210,7 +208,6 @@ sim::Task<void> TransactionManager::run(Txn txn) {
   }
 
   mpl_.release();
-  --active_;
   const double rt = sched_.now() - txn.arrival;
   metrics_.commits.inc();
   metrics_.response.add(rt);

@@ -36,7 +36,6 @@ class TransactionManager {
   /// includes any input-queue wait).
   void submit(workload::TxnSpec spec, sim::SimTime arrival);
 
-  int active() const { return active_; }
   std::uint64_t submitted() const { return submitted_; }
   const sim::Resource& mpl() const { return mpl_; }
   /// Mutable MPL pool (observability wiring: wait-sketch attachment).
@@ -76,7 +75,6 @@ class TransactionManager {
   std::uint64_t next_id_ = 1;
   std::uint64_t submitted_ = 0;
   std::int64_t appends_ = 0;
-  int active_ = 0;
   bool failed_ = false;
 };
 

@@ -195,7 +195,6 @@ TraceAnalysis analyze_trace(const std::vector<TraceEvent>& events,
             break;
         }
         break;
-      case TraceKind::Counter:
       case TraceKind::FlowBegin:
       case TraceKind::FlowEnd:
         break;
@@ -286,28 +285,6 @@ bool parse_chrome_trace(const JsonValue& doc, std::vector<TraceEvent>& out,
     const JsonValue* ph = je.find("ph");
     const JsonValue* name = je.find("name");
     if (!ph || !ph->is_string() || !name || !name->is_string()) continue;
-    if (ph->str == "C") {
-      // Counter track; the exporter suffixes ".node<N>" on per-node tracks
-      // and parks every counter on pid 0 with the sample in args.value.
-      std::string base = name->str;
-      std::int16_t node = -1;
-      if (const std::size_t pos = base.rfind(".node");
-          pos != std::string::npos) {
-        node = static_cast<std::int16_t>(std::atoi(base.c_str() + pos + 5));
-        base.resize(pos);
-      }
-      TraceName tn;
-      if (!name_from_string(base, tn)) continue;
-      TraceEvent e;
-      e.name = tn;
-      e.kind = TraceKind::Counter;
-      e.node = node;
-      e.t = num_or(je.find("ts"), 0.0) * 1e-6;
-      const JsonValue* args = je.find("args");
-      e.value = args ? num_or(args->find("value"), 0.0) : 0.0;
-      out.push_back(e);
-      continue;
-    }
     if (ph->str == "s" || ph->str == "f") {
       // Message flow: begin/end pairs stitched by the top-level id; the
       // optional top-level "v" is the long-message flag.
@@ -322,7 +299,8 @@ bool parse_chrome_trace(const JsonValue& doc, std::vector<TraceEvent>& out,
       out.push_back(e);
       continue;
     }
-    // Metadata records ("M") are presentation-only and stay behind.
+    // Metadata records ("M") and the counter tracks ("C", drawn from the
+    // time series) are presentation-only and stay behind.
     if (ph->str != "X" && ph->str != "i") continue;
     TraceName tn;
     if (!name_from_string(name->str, tn)) continue;

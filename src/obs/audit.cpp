@@ -12,7 +12,6 @@ const char* kind_tag(TraceKind k) {
   switch (k) {
     case TraceKind::Span: return "span";
     case TraceKind::Instant: return "inst";
-    case TraceKind::Counter: return "ctr";
     case TraceKind::FlowBegin: return "flow>";
     case TraceKind::FlowEnd: return ">flow";
     case TraceKind::PhaseTotal: return "phase";

@@ -111,32 +111,12 @@ std::string config_json(const SystemConfig& cfg) {
   w.kv("node_restart", cfg.failure.node_restart);
   w.end_object();
 
-  w.key("obs");
-  w.begin_object();
-  w.kv("trace", cfg.obs.trace);
-  w.kv("trace_capacity", static_cast<std::uint64_t>(cfg.obs.trace_capacity));
-  // Only when set: the canonical (default-obs) serialization must keep its
-  // exact bytes, or every config_hash — and the committed baselines keyed on
-  // them — would shift.
-  if (!cfg.obs.trace_filter.empty()) {
-    w.kv("trace_filter", cfg.obs.trace_filter);
-  }
-  w.kv("sample_every", cfg.obs.sample_every);
-  w.kv("slow_k", static_cast<std::int64_t>(cfg.obs.slow_k));
-  w.kv("audit", cfg.obs.audit);
-  w.end_object();
-
   w.end_object();
   return w.take();
 }
 
 std::uint64_t config_hash(const SystemConfig& cfg) {
-  // The observability block does not alter simulation results, so it must
-  // not alter the configuration's identity either: hash the config with the
-  // obs settings at their defaults.
-  SystemConfig canon = cfg;
-  canon.obs = SystemConfig::ObsConfig{};
-  const std::string s = config_json(canon);
+  const std::string s = config_json(cfg);
   std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a 64
   for (unsigned char c : s) {
     h ^= c;

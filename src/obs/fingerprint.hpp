@@ -11,10 +11,11 @@ namespace gemsd::obs {
 /// outside a git checkout).
 const char* build_git_describe();
 
-/// Serialize every SystemConfig parameter (including seed and all device /
-/// path-length / partition settings) as a JSON object with a fixed key
-/// order. Any result file carrying this object is reproducible from its
-/// header alone.
+/// Serialize every model parameter of a SystemConfig (including seed and all
+/// device / path-length / partition settings) as a JSON object with a fixed
+/// key order. The observer settings (`obs`) are left out: they never change
+/// results, so they are not part of the configuration's identity. Any result
+/// file carrying this object is reproducible from its header alone.
 std::string config_json(const SystemConfig& cfg);
 
 /// FNV-1a over config_json(cfg): a short stable identity for "same

@@ -54,6 +54,9 @@ void TsWindow::merge_from(const TsWindow& o) {
   gem_busy_s += o.gem_busy_s;
   net_busy_s += o.net_busy_s;
   disk_busy_s += o.disk_busy_s;
+  admitted_s += o.admitted_s;
+  mpl_queue_s += o.mpl_queue_s;
+  disk_queue_s += o.disk_queue_s;
   if (o.station_busy_s.size() > station_busy_s.size()) {
     station_busy_s.resize(o.station_busy_s.size(), 0.0);
   }
@@ -65,6 +68,10 @@ void TsWindow::merge_from(const TsWindow& o) {
 double TsSeries::window_end(std::size_t i) const {
   const double t1 = static_cast<double>(i + 1) * window_s;
   return end > 0 && end < t1 ? end : t1;
+}
+
+double TsSeries::width(std::size_t i) const {
+  return std::max(window_end(i) - static_cast<double>(i) * window_s, 1e-12);
 }
 
 // --- recorder ---------------------------------------------------------------
@@ -137,6 +144,9 @@ void TimeSeriesRecorder::poll_and_fold(sim::SimTime now) {
     const double d_gem = cum.gem_busy_s - prev_.gem_busy_s;
     const double d_net = cum.net_busy_s - prev_.net_busy_s;
     const double d_disk = cum.disk_busy_s - prev_.disk_busy_s;
+    const double d_admitted = cum.admitted_s - prev_.admitted_s;
+    const double d_mpl_queue = cum.mpl_queue_s - prev_.mpl_queue_s;
+    const double d_disk_queue = cum.disk_queue_s - prev_.disk_queue_s;
     std::vector<double> d_station(stations_.size(), 0.0);
     for (std::size_t i = 0; i < d_station.size(); ++i) {
       const double c =
@@ -164,6 +174,9 @@ void TimeSeriesRecorder::poll_and_fold(sim::SimTime now) {
       w.gem_busy_s += f * d_gem;
       w.net_busy_s += f * d_net;
       w.disk_busy_s += f * d_disk;
+      w.admitted_s += f * d_admitted;
+      w.mpl_queue_s += f * d_mpl_queue;
+      w.disk_queue_s += f * d_disk_queue;
       if (!d_station.empty() && w.station_busy_s.size() < d_station.size()) {
         w.station_busy_s.resize(d_station.size(), 0.0);
       }
@@ -308,6 +321,12 @@ std::string timeseries_json(
     w.kv("net", win.net_busy_s);
     w.kv("disk", win.disk_busy_s);
     w.end_object();
+    w.key("population_s");
+    w.begin_object();
+    w.kv("admitted", win.admitted_s);
+    w.kv("mpl_queue", win.mpl_queue_s);
+    w.kv("disk_queue", win.disk_queue_s);
+    w.end_object();
     if (!s.stations.empty()) {
       w.key("station_busy_s");
       w.begin_array();
@@ -429,6 +448,11 @@ bool timeseries_from_json(const JsonValue& doc, TsSeries& out,
       w.gem_busy_s = num_at(*b, "gem");
       w.net_busy_s = num_at(*b, "net");
       w.disk_busy_s = num_at(*b, "disk");
+    }
+    if (const JsonValue* p = jw.find("population_s"); p && p->is_object()) {
+      w.admitted_s = num_at(*p, "admitted");
+      w.mpl_queue_s = num_at(*p, "mpl_queue");
+      w.disk_queue_s = num_at(*p, "disk_queue");
     }
     if (const JsonValue* sb = jw.find("station_busy_s");
         sb && sb->is_array()) {
@@ -589,16 +613,11 @@ TsReport analyze_timeseries(const TsSeries& s) {
   r.configured_warmup_s = s.stats_start;
   if (s.windows.empty() || s.window_s <= 0) return r;
 
-  const auto width = [&](std::size_t i) {
-    return std::max(s.window_end(i) - static_cast<double>(i) * s.window_s,
-                    1e-12);
-  };
-
   // MSER warm-up estimate over the full run (recording starts at t=0).
   std::vector<double> thr(s.windows.size());
   bool all_committed = true;
   for (std::size_t i = 0; i < s.windows.size(); ++i) {
-    thr[i] = static_cast<double>(s.windows[i].commits) / width(i);
+    thr[i] = static_cast<double>(s.windows[i].commits) / s.width(i);
     all_committed = all_committed && s.windows[i].resp.count > 0;
   }
   std::vector<double> resp;
@@ -616,7 +635,7 @@ TsReport analyze_timeseries(const TsSeries& s) {
     // First window at/after the configured cut.
     std::size_t cfg_idx = s.windows.size();
     for (std::size_t i = 0; i < s.windows.size(); ++i) {
-      if (static_cast<double>(i) * s.window_s >= s.stats_start - 1e-9) {
+      if (s.measured(i)) {
         cfg_idx = i;
         break;
       }
@@ -629,9 +648,7 @@ TsReport analyze_timeseries(const TsSeries& s) {
   // and test the batch means for a trend.
   std::vector<std::size_t> meas;
   for (std::size_t i = 0; i < s.windows.size(); ++i) {
-    if (static_cast<double>(i) * s.window_s >= s.stats_start - 1e-9) {
-      meas.push_back(i);
-    }
+    if (s.measured(i)) meas.push_back(i);
   }
   r.meas_windows = meas.size();
   const std::size_t b = std::min<std::size_t>(10, meas.size() / 2);
@@ -646,7 +663,7 @@ TsReport analyze_timeseries(const TsSeries& s) {
       for (std::size_t q = 0; q < k; ++q) {
         const std::size_t i = meas[skip + j * k + q];
         commits += static_cast<double>(s.windows[i].commits);
-        span += width(i);
+        span += s.width(i);
         resp_sum += s.windows[i].resp.sum_s;
         resp_n += s.windows[i].resp.count;
         t_sum += (static_cast<double>(i) + 0.5) * s.window_s;
@@ -719,9 +736,9 @@ std::string timeseries_csv(const TsSeries& s) {
       "t0_s,t1_s,in_warmup,commits,aborts,throughput_tps,resp_mean_ms,"
       "resp_p50_ms,resp_p95_ms,resp_p99_ms,events_per_s,lock_waits_per_s,"
       "deadlocks_per_s,hit_ratio,msgs_per_s,cpu_util,gem_util,net_util,"
-      "disk_util";
-  // Additive per-station utilization columns; absent for documents without
-  // the station list, so existing consumers see the exact header they did.
+      "disk_util,admitted_txns,mpl_queue,disk_queue";
+  // Per-station utilization columns last; absent for documents without the
+  // station list.
   for (const TsStation& st : s.stations) out += ",util_" + st.name;
   out += "\n";
   const auto n = [](double v) { return JsonWriter::number(v); };
@@ -729,7 +746,7 @@ std::string timeseries_csv(const TsSeries& s) {
     const TsWindow& w = s.windows[i];
     const double t0 = static_cast<double>(i) * s.window_s;
     const double t1 = s.window_end(i);
-    const double width = std::max(t1 - t0, 1e-12);
+    const double width = s.width(i);
     const bool warm = s.stats_start > 0 && t0 < s.stats_start;
     const double q50 = w.resp.quantile(s.layout, 0.50);
     const double q95 = w.resp.quantile(s.layout, 0.95);
@@ -745,7 +762,9 @@ std::string timeseries_csv(const TsSeries& s) {
            n(sim::safe_ratio(w.cpu_busy_s, width * s.cpu_capacity)) + "," +
            n(sim::safe_ratio(w.gem_busy_s, width * s.gem_capacity)) + "," +
            n(sim::safe_ratio(w.net_busy_s, width * s.net_capacity)) + "," +
-           n(sim::safe_ratio(w.disk_busy_s, width * s.disk_capacity));
+           n(sim::safe_ratio(w.disk_busy_s, width * s.disk_capacity)) + "," +
+           n(w.admitted_s / width) + "," + n(w.mpl_queue_s / width) + "," +
+           n(w.disk_queue_s / width);
     for (std::size_t b = 0; b < s.stations.size(); ++b) {
       const double busy =
           b < w.station_busy_s.size() ? w.station_busy_s[b] : 0.0;

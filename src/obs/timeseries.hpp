@@ -16,29 +16,29 @@ struct JsonValue;
 /// Streaming, memory-bounded time-series recorder (--timeseries): tiles sim
 /// time into fixed windows and captures, per window, cluster and per-node
 /// series — commits, aborts, events/s, lock conflict/deadlock rates, buffer
-/// hit rate, GEM/disk/network utilization, and response-time quantiles via a
+/// hit rate, GEM/disk/network utilization, the mean admitted-transaction,
+/// MPL-queue and disk-queue populations, and response-time quantiles via a
 /// mergeable log-bucket sketch (the sim::Histogram bucket layout, so merge is
 /// elementwise addition). Every number is derived from simulated event times
 /// and counters, and the recorder inserts NO scheduler events of its own:
 ///
 ///   - commits/aborts and the response sketch come from per-event hooks in
 ///     the transaction manager, bucketed by commit time (exact);
-///   - cumulative counters and busy-time integrals (scheduler events, lock
-///     waits, deadlocks, buffer hits/misses, messages, device busy-seconds)
-///     are polled when a hook call first lands in a new window and the delta
-///     is distributed pro-rata over the windows the poll interval spans
-///     (deterministic; at steady state one poll per window).
+///   - cumulative counters and time integrals (scheduler events, lock waits,
+///     deadlocks, buffer hits/misses, messages, device busy-seconds, queue
+///     populations) are polled when a hook call first lands in a new window
+///     and the delta is distributed pro-rata over the windows the poll
+///     interval spans (deterministic; at steady state one poll per window).
 ///
-/// Because System is a single LP and all inputs are simulation-deterministic,
-/// the exported document is bit-identical across engine kinds and worker
-/// counts (ctest-gated), and because nothing perturbs the schedule, the
-/// metrics JSON is byte-identical with the recorder on or off. Window count
-/// is bounded like the trace ring: when `cap` windows exist, the window
-/// width doubles and adjacent windows pairwise-merge (sketches merge by
-/// bucket addition, so coarsening loses resolution, never data). Recording
-/// starts at t=0 — warm-up included — so gemsd_analyze --timeseries can
-/// check the configured warm-up cut (MSER-5) and measurement-interval
-/// stationarity (batch-means trend test).
+/// All inputs are simulation-deterministic, so the exported document is
+/// bit-identical at any `--jobs` (ctest-gated), and because nothing perturbs
+/// the schedule, the metrics JSON is byte-identical with the recorder on or
+/// off. Window count is bounded like the trace ring: when `cap` windows
+/// exist, the window width doubles and adjacent windows pairwise-merge
+/// (sketches merge by bucket addition, so coarsening loses resolution, never
+/// data). Recording starts at t=0 — warm-up included — so gemsd_analyze
+/// --timeseries can check the configured warm-up cut (MSER-5) and
+/// measurement-interval stationarity (batch-means trend test).
 
 /// Mergeable response-time sketch: counts per LogBuckets storage index, plus
 /// count and sum for exact means. Buckets allocate lazily on first add.
@@ -96,6 +96,11 @@ struct TsWindow {
   double gem_busy_s = 0;
   double net_busy_s = 0;
   double disk_busy_s = 0;  ///< db + log arms
+  // population integrals [item-seconds]; divided by the width they give the
+  // window's mean population
+  double admitted_s = 0;    ///< transactions admitted past the MPL gate
+  double mpl_queue_s = 0;   ///< transactions waiting for an MPL slot
+  double disk_queue_s = 0;  ///< requests queued at the DB disk arms
   /// Busy server-seconds per tracked station (TsSeries::stations order);
   /// empty when no station list was installed.
   std::vector<double> station_busy_s;
@@ -117,6 +122,9 @@ struct TsCumulative {
   double gem_busy_s = 0;
   double net_busy_s = 0;
   double disk_busy_s = 0;
+  double admitted_s = 0;
+  double mpl_queue_s = 0;
+  double disk_queue_s = 0;
   /// Per-station busy integrals (recorder's station order). The poller must
   /// clear and refill this on every call.
   std::vector<double> station_busy_s;
@@ -144,6 +152,12 @@ struct TsSeries {
 
   /// End of window i, clamped to the run end for the last partial window.
   double window_end(std::size_t i) const;
+  /// Width of window i (window_end(i) - start), floored at 1e-12 s.
+  double width(std::size_t i) const;
+  /// True when window i starts inside the measurement interval.
+  bool measured(std::size_t i) const {
+    return static_cast<double>(i) * window_s >= stats_start - 1e-9;
+  }
 };
 
 class TimeSeriesRecorder {
@@ -213,7 +227,7 @@ class TimeSeriesRecorder {
 /// "gemsd.timeseries.v1" document (schemas/timeseries.schema.json).
 /// `metadata` entries are {key, pre-serialized JSON value} pairs merged after
 /// the schema key (git describe, seed, config hash). Deterministic bytes:
-/// same simulation -> same document at any engine kind or worker count.
+/// same simulation -> same document at any `--jobs`.
 std::string timeseries_json(
     const TsSeries& s,
     const std::vector<std::pair<std::string, std::string>>& metadata);

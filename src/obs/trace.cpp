@@ -8,6 +8,7 @@
 
 #include "obs/json.hpp"
 #include "obs/telemetry.hpp"
+#include "obs/timeseries.hpp"
 
 namespace gemsd::obs {
 
@@ -35,15 +36,6 @@ const char* to_string(TraceName n) {
     case TraceName::kPhaseIo: return "phase.io";
     case TraceName::kPhaseCc: return "phase.cc";
     case TraceName::kPhaseQueue: return "phase.queue";
-    case TraceName::kCtrThroughput: return "throughput";
-    case TraceName::kCtrResponse: return "response_ms";
-    case TraceName::kCtrActive: return "active_txns";
-    case TraceName::kCtrMplQueue: return "mpl_queue";
-    case TraceName::kCtrCpuBusy: return "cpu_busy";
-    case TraceName::kCtrGemBusy: return "gem_busy";
-    case TraceName::kCtrNetBusy: return "net_busy";
-    case TraceName::kCtrDiskQueue: return "disk_queue";
-    case TraceName::kCtrSchedQueue: return "sched_queue";
     case TraceName::kCount: break;
   }
   return "?";
@@ -73,7 +65,7 @@ const char* category(TraceName n) {
     case TraceName::kMsgRecv:
       return "net";
     default:
-      return "sampler";
+      return "phase";
   }
 }
 
@@ -128,6 +120,45 @@ void emit_common(JsonWriter& w, const char* ph, const TraceEvent& e,
   w.value(event_tid(e));
   w.key("ts");
   w.value(e.t * 1e6);  // Chrome trace timestamps are microseconds
+}
+
+/// Cluster-wide counter tracks on pid 0, read from the time series: one
+/// value per track at the end of each window that starts inside the
+/// measurement interval (the trace ring itself is cleared at its start).
+void write_counter_tracks(JsonWriter& w, const TsSeries& s) {
+  for (std::size_t i = 0; i < s.windows.size(); ++i) {
+    if (!s.measured(i)) continue;
+    const TsWindow& win = s.windows[i];
+    const double width = s.width(i);
+    const std::pair<const char*, double> tracks[] = {
+        {"throughput", static_cast<double>(win.commits) / width},
+        {"response_ms", win.resp.mean_s() * 1e3},
+        {"active_txns", win.admitted_s / width},
+        {"mpl_queue", win.mpl_queue_s / width},
+        {"cpu_busy", sim::safe_ratio(win.cpu_busy_s, width * s.cpu_capacity)},
+        {"gem_busy", sim::safe_ratio(win.gem_busy_s, width * s.gem_capacity)},
+        {"net_busy", sim::safe_ratio(win.net_busy_s, width * s.net_capacity)},
+        {"disk_queue", win.disk_queue_s / width},
+    };
+    for (const auto& [name, value] : tracks) {
+      w.begin_object();
+      w.kv("name", name);
+      w.kv("cat", "timeseries");
+      w.kv("ph", "C");
+      w.key("pid");
+      w.value(std::int64_t{0});
+      w.key("tid");
+      w.value(std::int64_t{0});
+      w.key("ts");
+      w.value(s.window_end(i) * 1e6);
+      w.key("args");
+      w.begin_object();
+      w.key("value");
+      w.value(value);
+      w.end_object();
+      w.end_object();
+    }
+  }
 }
 
 }  // namespace
@@ -293,27 +324,6 @@ std::string chrome_trace_json(
         w.end_object();
         break;
       }
-      case TraceKind::Counter: {
-        std::string name = to_string(e.name);
-        if (e.node >= 0) name += ".node" + std::to_string(e.node);
-        w.begin_object();
-        w.kv("name", name);
-        w.kv("cat", "sampler");
-        w.kv("ph", "C");
-        w.key("pid");
-        w.value(std::int64_t{0});
-        w.key("tid");
-        w.value(std::int64_t{0});
-        w.key("ts");
-        w.value(e.t * 1e6);
-        w.key("args");
-        w.begin_object();
-        w.key("value");
-        w.value(e.value);
-        w.end_object();
-        w.end_object();
-        break;
-      }
       case TraceKind::FlowBegin:
       case TraceKind::FlowEnd: {
         w.begin_object();
@@ -334,6 +344,8 @@ std::string chrome_trace_json(
       }
     }
   }
+
+  if (tel.timeseries) write_counter_tracks(w, *tel.timeseries);
 
   w.end_array();
   w.end_object();

@@ -58,8 +58,6 @@ class Resource {
   Task<double> use(SimTime service);
 
   int capacity() const { return cap_; }
-  int busy() const { return busy_; }
-  std::size_t queue_length() const { return q_.size(); }
   const std::string& name() const { return name_; }
 
   /// Fraction of server-time busy since the last reset.

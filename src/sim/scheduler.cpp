@@ -1,6 +1,7 @@
 #include "sim/scheduler.hpp"
 
 #include <cassert>
+#include <limits>
 #include <utility>
 
 namespace gemsd::sim {
@@ -41,8 +42,8 @@ Scheduler::~Scheduler() {
 // The heap is 4-ary: half the tree height of a binary heap, and the four
 // children of a node sit in one 32-byte span of the flat Ev array (about a
 // cache line), so the extra comparisons per level are nearly free while the
-// sift paths — the part deep queues pay for — shrink by 2x. Because (t, key)
-// is a strict total order (key embeds the unique schedule sequence number),
+// sift paths — the part deep queues pay for — shrink by 2x. Because (t, seq)
+// is a strict total order (seq is the unique schedule sequence number),
 // pop order is independent of heap arity: results are bit-identical to the
 // binary heap this replaces. See BM_QueueDepth in bench/bench_kernel.cpp.
 void Scheduler::push(Ev ev) {
@@ -84,34 +85,6 @@ Scheduler::Ev Scheduler::pop_top() {
   return top;
 }
 
-void Scheduler::schedule_call(SimTime t, std::function<void()> fn) {
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    slab_[slot] = std::move(fn);
-  } else {
-    slot = static_cast<std::uint32_t>(slab_.size());
-    slab_.push_back(std::move(fn));
-  }
-  push(Ev{t, (seq_++ << 1) | 1u, slot});
-}
-
-void Scheduler::dispatch(const Ev& ev) {
-  if (ev.key & 1u) {
-    // Move the callable out and recycle its slot before invoking: the
-    // callback may itself schedule_call(), which must be free to reuse it.
-    auto fn = std::move(slab_[ev.payload]);
-    slab_[ev.payload] = nullptr;
-    free_slots_.push_back(static_cast<std::uint32_t>(ev.payload));
-    fn();
-  } else {
-    std::coroutine_handle<>::from_address(
-        reinterpret_cast<void*>(ev.payload))
-        .resume();
-  }
-}
-
 void Scheduler::spawn(Task<void> t) {
   auto h = t.release();
   auto& root = h.promise();
@@ -139,13 +112,14 @@ void Scheduler::drain_dead_slow() {
   dead_.clear();
 }
 
-std::uint64_t Scheduler::run_until(SimTime end) {
+std::uint64_t Scheduler::drain(SimTime end) {
   detail::FramePool::Use use(frames_);
   std::uint64_t n = 0;
   while (!heap_.empty() && heap_.front().t <= end) {
     const Ev ev = pop_top();
     now_ = ev.t;
-    dispatch(ev);
+    std::coroutine_handle<>::from_address(reinterpret_cast<void*>(ev.handle))
+        .resume();
     drain_dead();
     ++n;
     // Kept live per event (not folded in at loop exit) so the progress
@@ -156,28 +130,17 @@ std::uint64_t Scheduler::run_until(SimTime end) {
       progress_cb_();
     }
   }
+  return n;
+}
+
+std::uint64_t Scheduler::run_until(SimTime end) {
+  const std::uint64_t n = drain(end);
   now_ = end;
   return n;
 }
 
 std::uint64_t Scheduler::run_all() {
-  detail::FramePool::Use use(frames_);
-  std::uint64_t n = 0;
-  while (!heap_.empty()) {
-    const Ev ev = pop_top();
-    now_ = ev.t;
-    dispatch(ev);
-    drain_dead();
-    ++n;
-    // Kept live per event (not folded in at loop exit) so the progress
-    // heartbeat sees a moving count mid-segment.
-    ++processed_;
-    if (progress_every_ != 0 && --progress_left_ == 0) {
-      progress_left_ = progress_every_;
-      progress_cb_();
-    }
-  }
-  return n;
+  return drain(std::numeric_limits<SimTime>::infinity());
 }
 
 }  // namespace gemsd::sim

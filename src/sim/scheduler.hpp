@@ -15,16 +15,14 @@ namespace gemsd::sim {
 /// through schedule(), never by resuming a handle inline. That single rule
 /// makes the simulation reentrancy-free and teardown safe.
 ///
-/// The event lane is allocation-free in the common case: an event is a
-/// trivially copyable 24-byte heap entry tagged as either a coroutine resume
-/// (the payload is the handle address) or a callback (the payload indexes a
-/// side slab of std::function slots, recycled through a free list). The heap
-/// vector and the slab persist and are reused across run_until() calls, so a
-/// steady-state simulation schedules millions of events without touching the
-/// allocator. Coroutine frames created while the scheduler runs come from
-/// its own frame pool (detail::FramePool), and the live root processes form
-/// an intrusive list threaded through their promises, so spawning, awaiting
-/// and reaping processes recycle memory instead of allocating it.
+/// Every event is the resume of a coroutine process: a trivially copyable
+/// 24-byte heap entry carrying the handle address. The heap vector persists
+/// and is reused across run_until() calls, so a steady-state simulation
+/// schedules millions of events without touching the allocator. Coroutine
+/// frames created while the scheduler runs come from its own frame pool
+/// (detail::FramePool), and the live root processes form an intrusive list
+/// threaded through their promises, so spawning, awaiting and reaping
+/// processes recycle memory instead of allocating it.
 ///
 /// A Scheduler is strictly single-threaded: no two threads may touch it at
 /// the same time. Parallelism is across Scheduler instances, one per
@@ -40,12 +38,8 @@ class Scheduler {
 
   /// Resume `h` at absolute time `t` (>= now). Fast path: no allocation.
   void schedule(SimTime t, std::coroutine_handle<> h) {
-    push(Ev{t, seq_++ << 1,
-            reinterpret_cast<std::uintptr_t>(h.address())});
+    push(Ev{t, seq_++, reinterpret_cast<std::uintptr_t>(h.address())});
   }
-  /// Run `fn` at absolute time `t` (timers, arrival generators hooks). The
-  /// callable lives in the side slab until it fires; its slot is recycled.
-  void schedule_call(SimTime t, std::function<void()> fn);
 
   /// Start a root process. The scheduler owns the frame; it is destroyed
   /// when the process finishes or when the scheduler is destroyed.
@@ -114,26 +108,26 @@ class Scheduler {
   }
 
  private:
-  /// Flat-heap entry. `key` is (seq << 1) | is_callback: the sequence number
-  /// gives FIFO order among same-timestamp events (identical to the old
-  /// priority_queue tie-break, so event order — and therefore every
-  /// simulation result — is bit-identical), and the low tag bit selects the
-  /// payload interpretation without widening the entry.
+  /// Flat-heap entry. `seq` (the schedule sequence number) gives FIFO order
+  /// among same-timestamp events, so (t, seq) is a strict total order and
+  /// pop order never depends on the heap's shape.
   struct Ev {
     SimTime t;
-    std::uint64_t key;
-    std::uintptr_t payload;  ///< handle address, or callback slab index
+    std::uint64_t seq;
+    std::uintptr_t handle;  ///< coroutine handle address
   };
   static bool before(const Ev& a, const Ev& b) {
     if (a.t != b.t) return a.t < b.t;
-    return a.key < b.key;
+    return a.seq < b.seq;
   }
 
   static constexpr std::size_t kInitialHeapCapacity = 1024;
 
   void push(Ev ev);
   Ev pop_top();
-  void dispatch(const Ev& ev);
+  /// The event loop of run_until() and run_all(): process events with
+  /// timestamp <= end.
+  std::uint64_t drain(SimTime end);
   void drain_dead() {
     if (!dead_.empty()) drain_dead_slow();
   }
@@ -142,9 +136,7 @@ class Scheduler {
   /// Declared first so it is destroyed last: ~Scheduler destroys the
   /// still-suspended roots, whose frames return their blocks to it.
   detail::FramePool frames_;
-  std::vector<Ev> heap_;  ///< 4-ary min-heap ordered by (t, key)
-  std::vector<std::function<void()>> slab_;  ///< callback side slab
-  std::vector<std::uint32_t> free_slots_;    ///< recycled slab indices
+  std::vector<Ev> heap_;  ///< 4-ary min-heap ordered by (t, seq)
   SimTime now_ = 0.0;
   std::uint64_t seq_ = 0;
   std::size_t max_queued_ = 0;

@@ -104,8 +104,10 @@ TEST(RunSpec, ErrorsCarryLineNumbers) {
 }
 
 // Each of these values breaks a run (buffer = 0 never makes progress,
-// mpl = 0 and tps = 0 measure nothing, nodes = 0 fails deep inside the shard
-// map), so each is refused at its line, naming the key.
+// mpl = 0, tps = 0 and measure = 0 measure nothing, nodes = 0 fails deep
+// inside the shard map, cpu_procs = 0 reports NaN utilizations, a negative
+// trace_txns asks for an impossible reservation), so each is refused at its
+// line, naming the key.
 void expect_rejected(const std::string& text, const std::string& what) {
   try {
     parse(text);
@@ -120,6 +122,8 @@ void expect_rejected(const std::string& text, const std::string& what) {
 TEST(RunSpec, RejectsZeroNodes) {
   expect_rejected("[system]\nnodes = 0\n", "nodes must be >= 1");
   expect_rejected("[run]\nnodes = -3\n", "nodes must be >= 1");
+  expect_rejected("[system]\ncpu_procs = 0\n", "cpu_procs must be >= 1");
+  expect_rejected("[run]\ncpu_procs = -2\n", "cpu_procs must be >= 1");
 }
 
 TEST(RunSpec, RejectsZeroBuffer) {
@@ -128,12 +132,16 @@ TEST(RunSpec, RejectsZeroBuffer) {
 
 TEST(RunSpec, RejectsZeroMpl) {
   expect_rejected("[system]\nmpl = 0\n", "mpl must be >= 1");
+  expect_rejected("[workload]\ntrace_txns = -1\n", "trace_txns must be >= 0");
 }
 
 TEST(RunSpec, RejectsNonPositiveTps) {
   expect_rejected("[system]\ntps = 0\n", "tps must be > 0");
   expect_rejected("[system]\ntps = -5\n", "tps must be > 0");
   expect_rejected("[system]\ntps = nan\n", "tps must be > 0");
+  expect_rejected("[system]\nmeasure = 0\n", "measure must be > 0");
+  expect_rejected("[run]\nmeasure = -1\n", "measure must be > 0");
+  expect_rejected("[system]\nwarmup = -1\n", "warmup must be >= 0");
 }
 
 TEST(RunSpec, ShippedSpecsParse) {

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <memory>
 #include <regex>
 #include <sstream>
 #include <string>
@@ -19,6 +20,7 @@
 #include "obs/critpath.hpp"
 #include "obs/json.hpp"
 #include "obs/telemetry.hpp"
+#include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 
 #ifndef GEMSD_SOURCE_DIR
@@ -220,46 +222,45 @@ TEST(CritPath, JsonValidatesAgainstCommittedSchema) {
       << (problems.empty() ? "" : problems.front());
 }
 
-// -------------------------------------------- flow / counter import round trip
+// ------------------------------------------------------ flow import round trip
 
-TEST(ChromeImport, FlowsAndCountersRoundTrip) {
+TEST(ChromeImport, FlowsRoundTripAndCounterTracksStayBehind) {
   obs::RunTelemetry tel;
   tel.trace_enabled = true;
   obs::TraceRecorder rec(64);
-  rec.counter(obs::TraceName::kCtrThroughput, -1, 1.0, 42.5);
-  rec.counter(obs::TraceName::kCtrCpuBusy, 3, 1.0, 0.75);
   rec.flow(obs::TraceKind::FlowBegin, 0, 9, 2.0, /*long_msg=*/true);
   rec.flow(obs::TraceKind::FlowEnd, 1, 9, 2.5, /*long_msg=*/true);
   rec.flow(obs::TraceKind::FlowBegin, 1, 10, 3.0, /*long_msg=*/false);
   tel.events = rec.snapshot();
+  // A one-window time series: the exporter draws counter tracks from it.
+  auto ts = std::make_shared<obs::TsSeries>();
+  ts->window_s = 4.0;
+  ts->end = 4.0;
+  ts->windows.resize(1);
+  ts->windows[0].commits = 8;
+  tel.timeseries = ts;
 
   obs::JsonValue doc;
   std::string err;
-  ASSERT_TRUE(obs::json_parse(obs::chrome_trace_json(tel, {}), doc, err))
-      << err;
+  const std::string json = obs::chrome_trace_json(tel, {});
+  ASSERT_NE(json.find("\"ph\":\"C\""), std::string::npos);
+  ASSERT_TRUE(obs::json_parse(json, doc, err)) << err;
   std::vector<obs::TraceEvent> events;
   std::uint64_t dropped = 0;
   ASSERT_TRUE(obs::parse_chrome_trace(doc, events, dropped, err)) << err;
-  ASSERT_EQ(events.size(), 5u);
+  // The counter tracks are presentation, like the metadata records: only
+  // the three flows come back.
+  ASSERT_EQ(events.size(), 3u);
 
-  EXPECT_EQ(events[0].kind, obs::TraceKind::Counter);
-  EXPECT_EQ(events[0].name, obs::TraceName::kCtrThroughput);
-  EXPECT_EQ(events[0].node, -1);
-  EXPECT_DOUBLE_EQ(events[0].value, 42.5);
-  // The ".node<N>" track suffix folds back into the node field.
-  EXPECT_EQ(events[1].name, obs::TraceName::kCtrCpuBusy);
-  EXPECT_EQ(events[1].node, 3);
-  EXPECT_DOUBLE_EQ(events[1].value, 0.75);
-
+  EXPECT_EQ(events[0].kind, obs::TraceKind::FlowBegin);
+  EXPECT_EQ(events[0].node, 0);
+  EXPECT_EQ(events[0].id, 9u);
+  EXPECT_DOUBLE_EQ(events[0].value, 1.0);  // long-message flag
+  EXPECT_EQ(events[1].kind, obs::TraceKind::FlowEnd);
+  EXPECT_EQ(events[1].node, 1);
+  EXPECT_EQ(events[1].id, 9u);
   EXPECT_EQ(events[2].kind, obs::TraceKind::FlowBegin);
-  EXPECT_EQ(events[2].node, 0);
-  EXPECT_EQ(events[2].id, 9u);
-  EXPECT_DOUBLE_EQ(events[2].value, 1.0);  // long-message flag
-  EXPECT_EQ(events[3].kind, obs::TraceKind::FlowEnd);
-  EXPECT_EQ(events[3].node, 1);
-  EXPECT_EQ(events[3].id, 9u);
-  EXPECT_EQ(events[4].kind, obs::TraceKind::FlowBegin);
-  EXPECT_DOUBLE_EQ(events[4].value, 0.0);  // short message: no "v" emitted
+  EXPECT_DOUBLE_EQ(events[2].value, 0.0);  // short message: no "v" emitted
 }
 
 // ----------------------------------------------------------- --trace-filter

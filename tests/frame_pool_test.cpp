@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <coroutine>
+#include <deque>
+#include <functional>
 #include <vector>
 
 #include "sim/oneshot.hpp"
@@ -67,18 +69,24 @@ TEST(FramePool, InterleavedSchedulersKeepTheirOwnFrames) {
   EXPECT_EQ(b.live_processes(), 0u);
 }
 
+/// Runs `fn` at absolute time `t`: the process form of a timer callback.
+Task<void> at(Scheduler& s, SimTime t, std::function<void()> fn) {
+  co_await s.delay(t - s.now());
+  fn();
+}
+
 TEST(FramePool, NestedRunOfAnotherSchedulerRestoresTheOuterPool) {
   Scheduler a;
   Scheduler b;
   OwnerLog la{&a};
   OwnerLog lb{&b};
   b.spawn(prober(b, &lb, 3));
-  a.schedule_call(1.0, [&] {
+  a.spawn(at(a, 1.0, [&] {
     // b runs inside a's event: b's frames come from b's pool, and a's
     // frames created after b returns come from a's pool again.
     b.run_all();
     a.spawn(prober(a, &la, 3));
-  });
+  }));
   a.run_all();
   EXPECT_EQ(lb.owned, 3);
   EXPECT_EQ(lb.foreign, 0);
@@ -136,9 +144,10 @@ Task<void> root(Scheduler& s, OneShot<int>& never, int* destroyed) {
   (void)co_await middle(never, destroyed);
 }
 
-Task<void> spawner(Scheduler& s, OneShot<int>& never, int* destroyed,
-                   int n) {
-  for (int i = 0; i < n; ++i) s.spawn(root(s, never, destroyed));
+/// Spawns one chain per OneShot: each chain is that OneShot's single waiter.
+Task<void> spawner(Scheduler& s, std::deque<OneShot<int>>& nevers,
+                   int* destroyed) {
+  for (OneShot<int>& never : nevers) s.spawn(root(s, never, destroyed));
   co_return;
 }
 
@@ -146,10 +155,11 @@ TEST(FramePool, TeardownDestroysSuspendedRootsAndNestedFrames) {
   int destroyed = 0;
   {
     Scheduler s;
-    OneShot<int> never(s);
+    std::deque<OneShot<int>> nevers;
+    for (int i = 0; i < 5; ++i) nevers.emplace_back(s);
     // The roots are spawned inside the run, so all three frames of each
     // chain come from the pool, which must outlive their destruction.
-    s.spawn(spawner(s, never, &destroyed, 5));
+    s.spawn(spawner(s, nevers, &destroyed));
     s.run_until(2.0);
     EXPECT_EQ(s.live_processes(), 5u);
     EXPECT_GE(s.frame_chunks(), 1u);
@@ -209,7 +219,7 @@ TEST(FramePool, FinishedFrameIsPoisonedUnderAddressSanitizer) {
   Scheduler s;
   void* frame = nullptr;
   // Spawned from inside a run, so the frame comes from the pool.
-  s.schedule_call(0.0, [&] { s.spawn(leaf(s, &frame)); });
+  s.spawn(at(s, 0.0, [&] { s.spawn(leaf(s, &frame)); }));
   s.run_until(0.5);
   ASSERT_NE(frame, nullptr);
   ASSERT_TRUE(s.owns_frame(frame));

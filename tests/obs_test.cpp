@@ -1,12 +1,13 @@
 // Telemetry layer: JSON writer/parser/schema validator, the trace recorder
 // ring, Chrome trace-event export (golden bytes), config fingerprints, and —
 // the properties the whole subsystem is built around — observation does not
-// perturb the simulation, and traces/samples are bit-identical at any --jobs
-// value — plus the --progress heartbeat and the scheduler counters in the
-// detail dump.
+// perturb the simulation, and traces and time series are bit-identical at
+// any --jobs value — plus the --progress heartbeat and the scheduler
+// counters in the detail dump.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "obs/fingerprint.hpp"
 #include "obs/json.hpp"
 #include "obs/telemetry.hpp"
+#include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 #include "sim/scheduler.hpp"
 
@@ -193,10 +195,32 @@ TEST(ChromeTrace, GoldenSnippet) {
   rec.phase_total(obs::TraceName::kPhaseCpu, 0, 3, 1.05, 0.010);
   rec.phase_total(obs::TraceName::kPhaseIo, 0, 3, 1.05, 0.030);
   rec.instant(obs::TraceName::kCommit, 0, 3, 1.05);
-  rec.counter(obs::TraceName::kCtrThroughput, -1, 1.5, 123.5);
   rec.flow(obs::TraceKind::FlowBegin, 0, 7, 1.01, false);
   rec.flow(obs::TraceKind::FlowEnd, 1, 7, 1.02, false);
   tel.events = rec.snapshot();
+
+  // Two windows: the first starts before stats_start and draws no counter
+  // values; the second draws one value per track at its end.
+  auto ts = std::make_shared<obs::TsSeries>();
+  ts->window_s = 1.0;
+  ts->stats_start = 0.5;
+  ts->end = 2.0;
+  ts->cpu_capacity = 4;
+  ts->gem_capacity = 1;
+  ts->net_capacity = 1;
+  ts->windows.resize(2);
+  ts->windows[0].commits = 99;
+  obs::TsWindow& w = ts->windows[1];
+  w.commits = 3;
+  w.resp.count = 3;
+  w.resp.sum_s = 0.06;
+  w.admitted_s = 1.5;
+  w.mpl_queue_s = 0.5;
+  w.cpu_busy_s = 2.0;
+  w.gem_busy_s = 0.25;
+  w.net_busy_s = 0.125;
+  w.disk_queue_s = 0.75;
+  tel.timeseries = ts;
 
   const std::string json = obs::chrome_trace_json(tel, {{"seed", "42"}});
 
@@ -221,12 +245,26 @@ TEST(ChromeTrace, GoldenSnippet) {
       "\"cc_ms\":0,\"mpl_wait_ms\":0,\"restarts\":0,\"type\":2}},"
       "{\"name\":\"commit\",\"cat\":\"txn\",\"ph\":\"i\",\"pid\":1,"
       "\"tid\":4,\"ts\":1050000,\"args\":{\"id\":3},\"s\":\"t\"},"
-      "{\"name\":\"throughput\",\"cat\":\"sampler\",\"ph\":\"C\",\"pid\":0,"
-      "\"tid\":0,\"ts\":1500000,\"args\":{\"value\":123.5}},"
       "{\"name\":\"msg\",\"cat\":\"net\",\"ph\":\"s\",\"pid\":1,\"tid\":0,"
       "\"ts\":1010000,\"id\":7},"
       "{\"name\":\"msg\",\"cat\":\"net\",\"ph\":\"f\",\"pid\":2,\"tid\":0,"
-      "\"ts\":1020000,\"bp\":\"e\",\"id\":7}"
+      "\"ts\":1020000,\"bp\":\"e\",\"id\":7},"
+      "{\"name\":\"throughput\",\"cat\":\"timeseries\",\"ph\":\"C\",\"pid\":0,"
+      "\"tid\":0,\"ts\":2000000,\"args\":{\"value\":3}},"
+      "{\"name\":\"response_ms\",\"cat\":\"timeseries\",\"ph\":\"C\",\"pid\":0,"
+      "\"tid\":0,\"ts\":2000000,\"args\":{\"value\":20}},"
+      "{\"name\":\"active_txns\",\"cat\":\"timeseries\",\"ph\":\"C\",\"pid\":0,"
+      "\"tid\":0,\"ts\":2000000,\"args\":{\"value\":1.5}},"
+      "{\"name\":\"mpl_queue\",\"cat\":\"timeseries\",\"ph\":\"C\",\"pid\":0,"
+      "\"tid\":0,\"ts\":2000000,\"args\":{\"value\":0.5}},"
+      "{\"name\":\"cpu_busy\",\"cat\":\"timeseries\",\"ph\":\"C\",\"pid\":0,"
+      "\"tid\":0,\"ts\":2000000,\"args\":{\"value\":0.5}},"
+      "{\"name\":\"gem_busy\",\"cat\":\"timeseries\",\"ph\":\"C\",\"pid\":0,"
+      "\"tid\":0,\"ts\":2000000,\"args\":{\"value\":0.25}},"
+      "{\"name\":\"net_busy\",\"cat\":\"timeseries\",\"ph\":\"C\",\"pid\":0,"
+      "\"tid\":0,\"ts\":2000000,\"args\":{\"value\":0.125}},"
+      "{\"name\":\"disk_queue\",\"cat\":\"timeseries\",\"ph\":\"C\",\"pid\":0,"
+      "\"tid\":0,\"ts\":2000000,\"args\":{\"value\":0.75}}"
       "]}";
   EXPECT_EQ(json, expected);
 
@@ -242,7 +280,8 @@ TEST(Fingerprint, ObsSettingsDoNotChangeConfigIdentity) {
   SystemConfig a = quick_config();
   SystemConfig b = a;
   b.obs.trace = true;
-  b.obs.sample_every = 0.25;
+  b.obs.timeseries = true;
+  b.obs.resources = true;
   b.obs.slow_k = 10;
   EXPECT_EQ(obs::config_hash(a), obs::config_hash(b));
 
@@ -275,18 +314,24 @@ TEST(Observation, DisabledRunRecordsNoEvents) {
   EXPECT_FALSE(r.telemetry->trace_enabled);
   EXPECT_TRUE(r.telemetry->events.empty());
   EXPECT_EQ(r.telemetry->events_dropped, 0u);
-  EXPECT_TRUE(r.telemetry->samples.empty());
+  EXPECT_FALSE(r.telemetry->timeseries);
+  EXPECT_FALSE(r.telemetry->resources);
   EXPECT_TRUE(r.telemetry->slowest.empty());
   // The detail dump is always collected.
   EXPECT_FALSE(r.telemetry->detail.empty());
 }
 
+// Observers schedule nothing: with every one of them on, the headline
+// results and the whole detail dump, the scheduler's own event counts
+// included, are identical to a run without them.
 TEST(Observation, DoesNotPerturbTheSimulation) {
   const SystemConfig plain = quick_config();
   SystemConfig observed = plain;
   observed.obs.trace = true;
   observed.obs.trace_capacity = 1 << 16;
-  observed.obs.sample_every = 0.25;
+  observed.obs.timeseries = true;
+  observed.obs.timeseries_window = 0.25;
+  observed.obs.resources = true;
   observed.obs.slow_k = 5;
 
   const RunResult a = run_debit_credit(plain);
@@ -298,29 +343,63 @@ TEST(Observation, DoesNotPerturbTheSimulation) {
   EXPECT_EQ(a.cpu_util, b.cpu_util);
   EXPECT_EQ(a.brk_io_ms, b.brk_io_ms);
 
-  ASSERT_TRUE(b.telemetry);
+  ASSERT_TRUE(a.telemetry && b.telemetry);
+  EXPECT_EQ(a.telemetry->detail, b.telemetry->detail);
+  bool saw_sched = false;
+  for (const auto& kv : b.telemetry->detail) {
+    saw_sched = saw_sched || kv.first == "sched.events";
+  }
+  EXPECT_TRUE(saw_sched);
+
   EXPECT_TRUE(b.telemetry->trace_enabled);
   EXPECT_FALSE(b.telemetry->events.empty());
-  EXPECT_FALSE(b.telemetry->samples.empty());
+  EXPECT_TRUE(b.telemetry->timeseries);
+  EXPECT_TRUE(b.telemetry->resources);
   EXPECT_FALSE(b.telemetry->slowest.empty());
 }
 
-TEST(Observation, SamplerCoversWarmupAndMeasurement) {
+// The time-series windows carry the population gauges: the series spans
+// warm-up and measurement, and over the measurement windows the population
+// integrals add up to the stations' own integrals since the warm-up reset.
+TEST(Observation, WindowGaugesCoverWarmupAndMeasurement) {
   SystemConfig cfg = quick_config();
-  cfg.obs.sample_every = 0.5;
-  const RunResult r = run_debit_credit(cfg);
-  ASSERT_TRUE(r.telemetry);
-  const auto& samples = r.telemetry->samples;
-  ASSERT_GT(samples.size(), 4u);
-  bool saw_warmup = false, saw_measure = false;
-  double prev_t = 0.0;
-  for (const auto& s : samples) {
-    EXPECT_GT(s.t, prev_t);
-    prev_t = s.t;
-    (s.in_warmup ? saw_warmup : saw_measure) = true;
+  cfg.buffer_pages = 20;  // enough misses that the disk arms queue
+  cfg.obs.timeseries = true;
+  cfg.obs.timeseries_window = 0.25;
+  System sys(cfg, make_debit_credit_workload(cfg));
+  const RunResult r = sys.run();
+  ASSERT_TRUE(r.telemetry && r.telemetry->timeseries);
+  const obs::TsSeries& s = *r.telemetry->timeseries;
+
+  std::size_t warm = 0;
+  double admitted = 0, mpl_queue = 0, disk_queue = 0;
+  for (std::size_t i = 0; i < s.windows.size(); ++i) {
+    if (!s.measured(i)) {
+      ++warm;
+      continue;
+    }
+    admitted += s.windows[i].admitted_s;
+    mpl_queue += s.windows[i].mpl_queue_s;
+    disk_queue += s.windows[i].disk_queue_s;
   }
-  EXPECT_TRUE(saw_warmup);
-  EXPECT_TRUE(saw_measure);
+  EXPECT_GT(warm, 0u);
+  EXPECT_LT(warm, s.windows.size());
+
+  double want_admitted = 0, want_mpl_queue = 0, want_disk_queue = 0;
+  for (int n = 0; n < cfg.nodes; ++n) {
+    want_admitted += sys.tm(n).mpl().busy_time();
+    want_mpl_queue += sys.tm(n).mpl().queue_integral();
+  }
+  for (std::size_t p = 0; p < cfg.partitions.size(); ++p) {
+    if (const auto* g = sys.storage().group(static_cast<PartitionId>(p))) {
+      want_disk_queue += g->arms().queue_integral();
+    }
+  }
+  EXPECT_GT(want_admitted, 0.0);
+  EXPECT_GT(want_disk_queue, 0.0);
+  EXPECT_NEAR(admitted, want_admitted, 1e-9 * want_admitted);
+  EXPECT_NEAR(mpl_queue, want_mpl_queue, 1e-9 * (want_mpl_queue + 1.0));
+  EXPECT_NEAR(disk_queue, want_disk_queue, 1e-9 * want_disk_queue);
 }
 
 TEST(Observation, TraceIsBitIdenticalAtAnyJobCount) {
@@ -333,7 +412,8 @@ TEST(Observation, TraceIsBitIdenticalAtAnyJobCount) {
   }
   cfgs[1].obs.trace = true;
   cfgs[1].obs.trace_capacity = 1 << 16;
-  cfgs[1].obs.sample_every = 0.5;
+  cfgs[1].obs.timeseries = true;
+  cfgs[1].obs.timeseries_window = 0.25;
   cfgs[1].obs.slow_k = 5;
 
   const std::vector<RunResult> serial = SweepRunner(1).run_debit_credit(cfgs);
@@ -344,22 +424,20 @@ TEST(Observation, TraceIsBitIdenticalAtAnyJobCount) {
   const std::vector<std::pair<std::string, std::string>> meta = {
       {"seed", "42"}};
   ASSERT_TRUE(serial[1].telemetry && parallel[1].telemetry);
+  // The trace carries the time series' counter tracks too.
   const std::string trace_serial =
       obs::chrome_trace_json(*serial[1].telemetry, meta);
   const std::string trace_parallel =
       obs::chrome_trace_json(*parallel[1].telemetry, meta);
   EXPECT_EQ(trace_serial, trace_parallel);
   EXPECT_FALSE(serial[1].telemetry->events.empty());
+  EXPECT_NE(trace_serial.find("\"ph\":\"C\""), std::string::npos);
 
-  // Sampler and detail dumps are part of the same guarantee.
-  ASSERT_EQ(serial[1].telemetry->samples.size(),
-            parallel[1].telemetry->samples.size());
-  for (std::size_t i = 0; i < serial[1].telemetry->samples.size(); ++i) {
-    EXPECT_EQ(serial[1].telemetry->samples[i].throughput,
-              parallel[1].telemetry->samples[i].throughput);
-    EXPECT_EQ(serial[1].telemetry->samples[i].resp_ms,
-              parallel[1].telemetry->samples[i].resp_ms);
-  }
+  ASSERT_TRUE(serial[1].telemetry->timeseries &&
+              parallel[1].telemetry->timeseries);
+  EXPECT_EQ(obs::timeseries_json(*serial[1].telemetry->timeseries, meta),
+            obs::timeseries_json(*parallel[1].telemetry->timeseries, meta));
+  EXPECT_EQ(serial[1].telemetry->detail, parallel[1].telemetry->detail);
 }
 
 TEST(Observation, TxnPhaseTotalsReconcileWithReportedBreakdown) {
@@ -431,13 +509,15 @@ TEST(Observation, DetailCarriesSchedulerCounters) {
 
 // ------------------------------------------------------ progress heartbeat
 
+sim::Task<void> ticker(sim::Scheduler& s, int ticks) {
+  for (int i = 0; i < ticks; ++i) co_await s.delay(0.001);
+}
+
 TEST(Progress, SchedulerHookFiresEveryNEvents) {
   sim::Scheduler s;
   int fired = 0;
   s.set_progress_hook([&] { ++fired; }, 10);
-  for (int i = 0; i < 25; ++i) {
-    s.schedule_call(0.001 * (i + 1), [] {});
-  }
+  s.spawn(ticker(s, 24));  // 25 events: the start and 24 delays
   s.run_until(1.0);
   EXPECT_EQ(fired, 2);  // after events 10 and 20
 }

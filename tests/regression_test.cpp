@@ -10,6 +10,16 @@
 namespace gemsd {
 namespace {
 
+/// The scheduler's event count from the run's detail dump: every event is a
+/// model process resuming, so this pins the schedule itself, not just its
+/// outcome.
+double sched_events(const RunResult& r) {
+  for (const auto& [name, value] : r.telemetry->detail) {
+    if (name == "sched.events") return value;
+  }
+  return -1;
+}
+
 TEST(RegressionGolden, GemNoforceRandomThreeNodes) {
   SystemConfig cfg = make_debit_credit_config();
   cfg.nodes = 3;
@@ -23,6 +33,7 @@ TEST(RegressionGolden, GemNoforceRandomThreeNodes) {
   EXPECT_EQ(r.commits, 2403u);
   EXPECT_NEAR(r.resp_ms, 61.079188, 1e-4);
   EXPECT_NEAR(r.hit_ratio[0], 0.234486, 1e-5);
+  EXPECT_EQ(sched_events(r), 142061);
 }
 
 TEST(RegressionGolden, PclForceAffinityThreeNodes) {
@@ -39,6 +50,7 @@ TEST(RegressionGolden, PclForceAffinityThreeNodes) {
   EXPECT_NEAR(r.resp_ms, 90.679721, 1e-4);
   EXPECT_NEAR(r.local_lock_fraction, 0.954074, 1e-5);
   EXPECT_NEAR(r.messages_per_txn, 0.275764, 1e-5);
+  EXPECT_EQ(sched_events(r), 142133);
 }
 
 }  // namespace

@@ -38,7 +38,7 @@ TEST(BenchArgs, ParsesEveryKnownFlag) {
   BenchOptions o;
   const std::string err = try_parse_bench_args(
       {"--quick", "--max-nodes=3", "--jobs=2", "--seed=7", "--csv",
-       "--full", "--sample=0.5", "--slow-k=3", "--metrics-json=x.json",
+       "--full", "--slow-k=3", "--metrics-json=x.json",
        "--trace=t.json", "--trace-run=1", "--trace-capacity=1024",
        "--audit", "--no-json", "--warmup=1.5", "--measure=4"},
       o);
@@ -52,7 +52,6 @@ TEST(BenchArgs, ParsesEveryKnownFlag) {
   EXPECT_TRUE(o.no_json);
   EXPECT_DOUBLE_EQ(o.warmup, 1.5);
   EXPECT_DOUBLE_EQ(o.measure, 4.0);
-  EXPECT_DOUBLE_EQ(o.obs.sample_every, 0.5);
   EXPECT_EQ(o.obs.slow_k, 3);
   EXPECT_EQ(o.metrics_json, "x.json");
   EXPECT_EQ(o.trace_file, "t.json");
@@ -85,7 +84,7 @@ TEST(BenchArgs, UsageListsEveryFlag) {
   const std::string u = bench_usage();
   for (const char* flag :
        {"--quick", "--measure=", "--warmup=", "--max-nodes=", "--jobs=",
-        "--seed=", "--full", "--csv", "--sample=", "--slow-k=",
+        "--seed=", "--full", "--csv", "--slow-k=",
         "--metrics-json=", "--no-json", "--trace=", "--trace-run=",
         "--trace-capacity=", "--audit"}) {
     EXPECT_NE(u.find(flag), std::string::npos) << flag;

@@ -3,6 +3,7 @@
 // statistics.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 #include "sim/oneshot.hpp"
@@ -15,12 +16,18 @@
 namespace gemsd::sim {
 namespace {
 
+/// Runs `fn` at absolute time `t`: the process form of a timer callback.
+Task<void> at(Scheduler& s, SimTime t, std::function<void()> fn) {
+  co_await s.delay(t - s.now());
+  fn();
+}
+
 TEST(Scheduler, RunsCallbacksInTimeOrder) {
   Scheduler s;
   std::vector<int> order;
-  s.schedule_call(3.0, [&] { order.push_back(3); });
-  s.schedule_call(1.0, [&] { order.push_back(1); });
-  s.schedule_call(2.0, [&] { order.push_back(2); });
+  s.spawn(at(s, 3.0, [&] { order.push_back(3); }));
+  s.spawn(at(s, 1.0, [&] { order.push_back(1); }));
+  s.spawn(at(s, 2.0, [&] { order.push_back(2); }));
   s.run_all();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_DOUBLE_EQ(s.now(), 3.0);
@@ -30,7 +37,7 @@ TEST(Scheduler, SameTimeEventsAreFifo) {
   Scheduler s;
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
-    s.schedule_call(5.0, [&order, i] { order.push_back(i); });
+    s.spawn(at(s, 5.0, [&order, i] { order.push_back(i); }));
   }
   s.run_all();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
@@ -39,9 +46,10 @@ TEST(Scheduler, SameTimeEventsAreFifo) {
 TEST(Scheduler, RunUntilStopsAtBoundaryAndAdvancesClock) {
   Scheduler s;
   int hits = 0;
-  s.schedule_call(1.0, [&] { ++hits; });
-  s.schedule_call(2.5, [&] { ++hits; });
-  s.schedule_call(7.0, [&] { ++hits; });
+  s.spawn(at(s, 1.0, [&] { ++hits; }));
+  s.spawn(at(s, 2.5, [&] { ++hits; }));
+  s.spawn(at(s, 7.0, [&] { ++hits; }));
+  s.run_until(0.0);  // the three starts: each process parks on its delay
   EXPECT_EQ(s.run_until(3.0), 2u);
   EXPECT_EQ(hits, 2);
   EXPECT_DOUBLE_EQ(s.now(), 3.0);
