@@ -96,14 +96,12 @@ sim::Task<LockOutcome> PrimaryCopyProtocol::acquire_remote(node::Txn& txn,
                                                            NodeId g) {
   metrics().lock_remote.inc();
   const NodeId n = txn.node;
-  const auto cached = buf(n).cached_seqno(p);
-  sim::OneShot<GrantMsg> resp(sched());
+  RemoteRequest rq{txn.id, p, mode, buf(n).cached_seqno(p), g, n,
+                   sim::OneShot<GrantMsg>(sched())};
 
-  co_await env_.comm->send(
-      n, g, /*long_msg=*/false,
-      gla_lock_request(txn.id, p, mode, cached, g, n, &resp));
+  co_await env_.comm->send(n, g, /*long_msg=*/false, gla_lock_request(&rq));
 
-  const GrantMsg m = co_await resp.wait();
+  const GrantMsg m = co_await rq.resp.wait();
   if (m.aborted) co_return LockOutcome{.aborted = true};
   if (!txn.holds_page(p)) txn.held.push_back(p);
   LockOutcome out;
@@ -115,8 +113,10 @@ sim::Task<LockOutcome> PrimaryCopyProtocol::acquire_remote(node::Txn& txn,
 }
 
 PrimaryCopyProtocol::GrantMsg PrimaryCopyProtocol::make_grant(
-    PageId p, NodeId requester, std::optional<SeqNo> cached, LockMode mode,
-    NodeId g) {
+    const RemoteRequest& rq) {
+  const PageId p = rq.page;
+  const std::optional<SeqNo>& cached = rq.cached;
+  const NodeId g = rq.gla;
   GrantMsg m;
   m.seqno = dir_.seqno(p);
   if (cached && *cached == m.seqno) {
@@ -131,33 +131,38 @@ PrimaryCopyProtocol::GrantMsg PrimaryCopyProtocol::make_grant(
       m.source = PageSource::Storage;
     }
   }
-  if (read_opt_ && mode == LockMode::Read) dir_.grant_read_auth(p, requester);
+  if (read_opt_ && rq.mode == LockMode::Read) {
+    dir_.grant_read_auth(p, rq.requester);
+  }
   return m;
 }
 
-sim::Task<void> PrimaryCopyProtocol::gla_lock_request(
-    TxnId txn, PageId p, LockMode mode, std::optional<SeqNo> cached, NodeId g,
-    NodeId n, sim::OneShot<GrantMsg>* resp) {
+sim::Task<void> PrimaryCopyProtocol::gla_lock_request(RemoteRequest* rq) {
+  const TxnId txn = rq->txn;
+  const PageId p = rq->page;
+  const NodeId g = rq->gla;
+  const NodeId n = rq->requester;
   co_await cpu(g).consume(cfg().lock_instr);
-  if (mode == LockMode::Write) revoke_auths(p, n, g);
+  if (rq->mode == LockMode::Write) revoke_auths(p, n, g);
   // Same trace instrumentation as Protocol::lock_logical — the analyzer's
   // wait-for replay needs every waiting path to emit its edges, the deadlock
   // verdict, and a lock.wait span at grant time (which retires the edges).
   const sim::SimTime t0 = sched().now();
-  const auto res = table_.acquire(
-      p, txn, n, mode, [this, p, t0, mode, cached, g, n, txn, resp] {
-        // Granted later, during a release processed at the GLA.
-        if (metrics().trace) {
-          metrics().trace->span(obs::TraceName::kLockWait,
-                                static_cast<std::int16_t>(n), txn, t0,
-                                sched().now(), static_cast<double>(p.page),
-                                static_cast<std::int32_t>(p.partition));
-        }
-        sched().spawn(
-            send_grant(g, n, make_grant(p, n, cached, mode, g), resp));
-      });
+  rq->t0 = t0;
+  const auto res = table_.acquire(p, txn, n, rq->mode, [this, rq] {
+    // Granted later, during a release processed at the GLA.
+    if (metrics().trace) {
+      metrics().trace->span(obs::TraceName::kLockWait,
+                            static_cast<std::int16_t>(rq->requester), rq->txn,
+                            rq->t0, sched().now(),
+                            static_cast<double>(rq->page.page),
+                            static_cast<std::int32_t>(rq->page.partition));
+    }
+    sched().spawn(
+        send_grant(rq->gla, rq->requester, make_grant(*rq), &rq->resp));
+  });
   if (res == LockTable::Outcome::Granted) {
-    co_await send_grant(g, n, make_grant(p, n, cached, mode, g), resp);
+    co_await send_grant(g, n, make_grant(*rq), &rq->resp);
     co_return;
   }
   if (metrics().trace) {
@@ -167,7 +172,7 @@ sim::Task<void> PrimaryCopyProtocol::gla_lock_request(
                                static_cast<double>(b));
     }
   }
-  if (creates_deadlock(table_, txn)) {
+  if (table_.creates_deadlock(txn)) {
     table_.cancel_wait(p, txn);
     metrics().deadlocks.inc();
     if (metrics().trace) {
@@ -176,7 +181,7 @@ sim::Task<void> PrimaryCopyProtocol::gla_lock_request(
                                static_cast<double>(p.page),
                                static_cast<std::int32_t>(p.partition));
     }
-    co_await send_grant(g, n, GrantMsg{.aborted = true}, resp);
+    co_await send_grant(g, n, GrantMsg{.aborted = true}, &rq->resp);
   } else {
     metrics().lock_waits.inc();
   }
@@ -221,6 +226,8 @@ sim::Task<void> PrimaryCopyProtocol::release_group(
     releasing_node_ = n;
     for (PageId p : pages) table_.release(p, txn.id);
     releasing_node_ = kNoNode;
+    spare_lists_.give(std::move(pages));
+    spare_lists_.give(std::move(dirty_pages));
     co_return;
   }
 
@@ -247,53 +254,50 @@ sim::Task<void> PrimaryCopyProtocol::gla_release(NodeId g, TxnId txn,
   releasing_node_ = g;
   for (PageId p : pages) table_.release(p, txn);
   releasing_node_ = kNoNode;
+  spare_lists_.give(std::move(pages));
+  spare_lists_.give(std::move(dirty_pages));
 }
 
-sim::Task<void> PrimaryCopyProtocol::commit_release(node::Txn& txn) {
-  // Group held pages by GLA node; one (possibly page-carrying) release
-  // message per remote authority.
-  std::vector<std::pair<NodeId, std::vector<PageId>>> groups;
-  for (PageId p : txn.held) {
-    const NodeId g = gla_->gla(p);
-    auto it = std::find_if(groups.begin(), groups.end(),
-                           [g](const auto& e) { return e.first == g; });
-    if (it == groups.end()) {
-      groups.emplace_back(g, std::vector<PageId>{p});
-    } else {
-      it->second.push_back(p);
+sim::Task<void> PrimaryCopyProtocol::release_held(node::Txn& txn,
+                                                  bool propagate) {
+  // Pages not yet grouped, compacted in place as each group is taken out.
+  std::vector<PageId> rest = spare_lists_.take();
+  rest.assign(txn.held.begin(), txn.held.end());
+  while (!rest.empty()) {
+    const NodeId g = gla_->gla(rest.front());
+    std::vector<PageId> pages = spare_lists_.take();
+    std::size_t kept = 0;
+    for (PageId p : rest) {
+      if (gla_->gla(p) == g) {
+        pages.push_back(p);
+      } else {
+        rest[kept++] = p;
+      }
     }
-  }
-  for (auto& [g, pages] : groups) {
-    std::vector<PageId> dirty;
-    for (PageId p : txn.dirty) {
-      if (std::find(pages.begin(), pages.end(), p) != pages.end()) {
-        dirty.push_back(p);
+    rest.resize(kept);
+    std::vector<PageId> dirty = spare_lists_.take();
+    if (propagate) {
+      for (PageId p : txn.dirty) {
+        if (std::find(pages.begin(), pages.end(), p) != pages.end()) {
+          dirty.push_back(p);
+        }
       }
     }
     co_await release_group(txn, g, std::move(pages), std::move(dirty),
-                           /*propagate=*/true);
+                           propagate);
   }
+  spare_lists_.give(std::move(rest));
   txn.held.clear();
   txn.dirty.clear();
 }
 
+sim::Task<void> PrimaryCopyProtocol::commit_release(node::Txn& txn) {
+  // One (possibly page-carrying) release message per remote authority.
+  co_await release_held(txn, /*propagate=*/true);
+}
+
 sim::Task<void> PrimaryCopyProtocol::abort_release(node::Txn& txn) {
-  std::vector<std::pair<NodeId, std::vector<PageId>>> groups;
-  for (PageId p : txn.held) {
-    const NodeId g = gla_->gla(p);
-    auto it = std::find_if(groups.begin(), groups.end(),
-                           [g](const auto& e) { return e.first == g; });
-    if (it == groups.end()) {
-      groups.emplace_back(g, std::vector<PageId>{p});
-    } else {
-      it->second.push_back(p);
-    }
-  }
-  for (auto& [g, pages] : groups) {
-    co_await release_group(txn, g, std::move(pages), {}, /*propagate=*/false);
-  }
-  txn.held.clear();
-  txn.dirty.clear();
+  co_await release_held(txn, /*propagate=*/false);
 }
 
 }  // namespace gemsd::cc

@@ -2,8 +2,10 @@
 
 #include <coroutine>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "cc/protocol.hpp"
 #include "workload/workload.hpp"
@@ -60,6 +62,20 @@ class PrimaryCopyProtocol : public Protocol {
     SeqNo seqno = 0;
     bool invalidation = false;
   };
+  /// One remote lock request, kept in the requester's acquire_remote frame.
+  /// That frame outlives the grant (the requester waits on `resp`), so the
+  /// GLA's grant callback captures only `this` and a pointer to this record
+  /// and fits std::function's inline buffer.
+  struct RemoteRequest {
+    TxnId txn;
+    PageId page;
+    LockMode mode;
+    std::optional<SeqNo> cached;  ///< the requester's version, if any
+    NodeId gla;
+    NodeId requester;
+    sim::OneShot<GrantMsg> resp;
+    sim::SimTime t0 = 0;  ///< when the GLA enqueued the request
+  };
 
   sim::Task<LockOutcome> acquire_local(node::Txn& txn, PageId p, LockMode mode);
   sim::Task<LockOutcome> acquire_auth_local(node::Txn& txn, PageId p);
@@ -68,16 +84,13 @@ class PrimaryCopyProtocol : public Protocol {
 
   /// GLA-side grant decision (lock already granted): where the requester
   /// gets the page, using the requester's cached version from the request.
-  GrantMsg make_grant(PageId p, NodeId requester, std::optional<SeqNo> cached,
-                      LockMode mode, NodeId g);
+  GrantMsg make_grant(const RemoteRequest& rq);
   sim::Task<void> send_grant(NodeId g, NodeId n, GrantMsg m,
                              sim::OneShot<GrantMsg>* resp);
   static sim::Task<void> fulfill_grant(sim::OneShot<GrantMsg>* resp,
                                        GrantMsg m);
   /// GLA-side processing of a remote lock request (message handler body).
-  sim::Task<void> gla_lock_request(TxnId txn, PageId p, LockMode mode,
-                                   std::optional<SeqNo> cached, NodeId g,
-                                   NodeId n, sim::OneShot<GrantMsg>* resp);
+  sim::Task<void> gla_lock_request(RemoteRequest* rq);
   /// GLA-side processing of a (possibly page-carrying) release message.
   sim::Task<void> gla_release(NodeId g, TxnId txn, std::vector<PageId> pages,
                               std::vector<PageId> dirty_pages,
@@ -90,12 +103,17 @@ class PrimaryCopyProtocol : public Protocol {
                                 std::vector<PageId> pages,
                                 std::vector<PageId> dirty_pages,
                                 bool propagate);
+  /// Releases every held lock, one group per GLA node in order of first
+  /// appearance in txn.held; `propagate` commits the dirty pages.
+  sim::Task<void> release_held(node::Txn& txn, bool propagate);
 
   const workload::GlaMap* gla_;
   bool read_opt_;
   std::unordered_set<NodeId> frozen_;
   std::unordered_map<NodeId, std::vector<std::coroutine_handle<>>>
       freeze_waiters_;
+  /// Page lists of release groups, given back once a group is processed.
+  node::PageListPool spare_lists_;
 };
 
 }  // namespace gemsd::cc

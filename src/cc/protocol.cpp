@@ -132,7 +132,7 @@ sim::Task<Protocol::Logical> Protocol::lock_logical(node::Txn& txn, PageId p,
     }
   }
   // Would waiting close a cycle? Then this transaction is the victim.
-  if (creates_deadlock(table_, txn.id)) {
+  if (table_.creates_deadlock(txn.id)) {
     table_.cancel_wait(p, txn.id);
     metrics().deadlocks.inc();
     if (metrics().trace) {

@@ -223,6 +223,7 @@ const KeyDef kSystemKeys[] = {
     {"log_disks",
      [](SystemConfig& c, const std::string& v, int l) {
        c.log_disks_per_node = spec_int(v, l);
+       if (c.log_disks_per_node < 1) fail(l, "log_disks must be >= 1");
      },
      [](const SystemConfig& c) { return fmt_int(c.log_disks_per_node); }},
     {"group_commit",
@@ -261,16 +262,19 @@ const KeyDef kSystemKeys[] = {
     {"gem_entry_us",
      [](SystemConfig& c, const std::string& v, int l) {
        c.gem.entry_access = spec_num(v, l) * 1e-6;
+       if (!(c.gem.entry_access >= 0)) fail(l, "gem_entry_us must be >= 0");
      },
      [](const SystemConfig& c) { return fmt_us(c.gem.entry_access); }},
     {"msg_short_instr",
      [](SystemConfig& c, const std::string& v, int l) {
        c.comm.short_instr = spec_num(v, l);
+       if (!(c.comm.short_instr >= 0)) fail(l, "msg_short_instr must be >= 0");
      },
      [](const SystemConfig& c) { return fmt_num(c.comm.short_instr); }},
     {"msg_long_instr",
      [](SystemConfig& c, const std::string& v, int l) {
        c.comm.long_instr = spec_num(v, l);
+       if (!(c.comm.long_instr >= 0)) fail(l, "msg_long_instr must be >= 0");
      },
      [](const SystemConfig& c) { return fmt_num(c.comm.long_instr); }},
     {"lock_engine_us",

@@ -1,14 +1,12 @@
 #pragma once
 
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <iterator>
 #include <optional>
 #include <utility>
-#include <vector>
 
+#include "core/page_index.hpp"
 #include "core/types.hpp"
 
 namespace gemsd {
@@ -16,14 +14,12 @@ namespace gemsd {
 /// LRU-ordered page map used by main-memory buffers and disk caches.
 /// O(1) lookup/touch/insert/erase. Most-recently-used at the front.
 ///
-/// Entries live in a slab (`std::vector`) and are chained MRU -> LRU through
-/// 32-bit slot links; erased slots are recycled through a free list. Lookup
-/// goes through an open-addressing PageId -> slot index (linear probing,
-/// backward-shift deletion, so no tombstones) kept at most half full. Both
-/// grow on demand and are reused after erase, so a map that has reached its
-/// working size installs and evicts pages without allocating. The slab may
-/// relocate on insert: a `V*` returned earlier is invalidated by insert(),
-/// but not by touch(), peek() or erase() of another page.
+/// Entries live in a Slab and are chained MRU -> LRU through 32-bit slot
+/// links; lookup goes through a PageIndex. Both grow on demand and are reused
+/// after erase, so a map that has reached its working size installs and
+/// evicts pages without allocating. The slab may relocate on insert: a `V*`
+/// returned earlier is invalidated by insert(), but not by touch(), peek() or
+/// erase() of another page.
 template <typename V>
 class LruMap {
  public:
@@ -33,15 +29,15 @@ class LruMap {
   struct Node {
     Entry kv;
     std::uint32_t prev;  ///< toward MRU
-    std::uint32_t next;  ///< toward LRU; free-list link while unused
+    std::uint32_t next;  ///< toward LRU
   };
 
  public:
   explicit LruMap(std::size_t capacity) : cap_(capacity) {}
 
-  std::size_t size() const { return size_; }
+  std::size_t size() const { return index_.size(); }
   std::size_t capacity() const { return cap_; }
-  bool full() const { return size_ >= cap_; }
+  bool full() const { return size() >= cap_; }
 
   /// Find and promote to MRU. Returns nullptr if absent.
   V* touch(PageId p) {
@@ -69,23 +65,10 @@ class LruMap {
   /// Insert as MRU (must not already be present; capacity not enforced here —
   /// call evict_candidate()/erase() first when full).
   V* insert(PageId p, V v) {
-    assert(!contains(p));
-    std::uint32_t s;
-    if (free_ != kNil) {
-      s = free_;
-      free_ = nodes_[s].next;
-      nodes_[s].kv = Entry(p, std::move(v));
-    } else {
-      s = static_cast<std::uint32_t>(nodes_.size());
-      nodes_.push_back(Node{Entry(p, std::move(v)), kNil, kNil});
-    }
+    const std::uint32_t s =
+        nodes_.alloc(Node{Entry(p, std::move(v)), kNil, kNil});
+    index_.insert(s, key_of());
     link_front(s);
-    ++size_;
-    if (2 * size_ > index_.size()) {
-      rehash(index_.empty() ? kMinIndex : 2 * index_.size());
-    } else {
-      index_put(s);
-    }
     return &nodes_[s].kv.second;
   }
 
@@ -108,22 +91,17 @@ class LruMap {
   }
 
   bool erase(PageId p) {
-    const std::size_t pos = index_pos(p);
-    if (pos == kNoPos) return false;
-    const std::uint32_t s = index_[pos];
-    index_remove(pos);
+    const std::uint32_t s = index_.erase(p, key_of());
+    if (s == kNil) return false;
     unlink(s);
-    nodes_[s].next = free_;
-    free_ = s;
-    --size_;
+    nodes_.free(s);
     return true;
   }
 
   void clear() {
     nodes_.clear();
-    index_.assign(index_.size(), kNil);
-    head_ = tail_ = free_ = kNil;
-    size_ = 0;
+    index_.clear();
+    head_ = tail_ = kNil;
   }
 
   /// Iterates MRU -> LRU over `const Entry&`.
@@ -153,9 +131,9 @@ class LruMap {
 
    private:
     friend class LruMap;
-    const_iterator(const std::vector<Node>* nodes, std::uint32_t s)
+    const_iterator(const Slab<Node>* nodes, std::uint32_t s)
         : nodes_(nodes), s_(s) {}
-    const std::vector<Node>* nodes_ = nullptr;
+    const Slab<Node>* nodes_ = nullptr;
     std::uint32_t s_ = kNil;
   };
 
@@ -163,57 +141,14 @@ class LruMap {
   const_iterator end() const { return const_iterator(&nodes_, kNil); }
 
  private:
-  static constexpr std::uint32_t kNil = UINT32_MAX;
-  static constexpr std::size_t kNoPos = SIZE_MAX;
-  static constexpr std::size_t kMinIndex = 16;
+  static constexpr std::uint32_t kNil = PageIndex::kNil;
 
-  std::size_t home(PageId p) const {
-    return std::hash<PageId>{}(p) & (index_.size() - 1);
+  auto key_of() const {
+    return [this](std::uint32_t s) -> const PageId& {
+      return nodes_[s].kv.first;
+    };
   }
-
-  /// Index position holding `p`, or kNoPos.
-  std::size_t index_pos(PageId p) const {
-    if (index_.empty()) return kNoPos;
-    const std::size_t mask = index_.size() - 1;
-    for (std::size_t i = home(p);; i = (i + 1) & mask) {
-      const std::uint32_t s = index_[i];
-      if (s == kNil) return kNoPos;
-      if (nodes_[s].kv.first == p) return i;
-    }
-  }
-  std::uint32_t slot_of(PageId p) const {
-    const std::size_t pos = index_pos(p);
-    return pos == kNoPos ? kNil : index_[pos];
-  }
-
-  void index_put(std::uint32_t s) {
-    const std::size_t mask = index_.size() - 1;
-    std::size_t i = home(nodes_[s].kv.first);
-    while (index_[i] != kNil) i = (i + 1) & mask;
-    index_[i] = s;
-  }
-
-  /// Empties position `i`, shifting later entries of its probe run back so
-  /// every entry stays reachable from its home without tombstones.
-  void index_remove(std::size_t i) {
-    const std::size_t mask = index_.size() - 1;
-    for (std::size_t j = (i + 1) & mask; index_[j] != kNil;
-         j = (j + 1) & mask) {
-      // The entry at j may fill the hole at i unless its home lies
-      // cyclically in (i, j].
-      const std::size_t h = home(nodes_[index_[j]].kv.first);
-      if (((j - h) & mask) >= ((j - i) & mask)) {
-        index_[i] = index_[j];
-        i = j;
-      }
-    }
-    index_[i] = kNil;
-  }
-
-  void rehash(std::size_t n) {
-    index_.assign(n, kNil);
-    for (std::uint32_t s = head_; s != kNil; s = nodes_[s].next) index_put(s);
-  }
+  std::uint32_t slot_of(PageId p) const { return index_.find(p, key_of()); }
 
   void unlink(std::uint32_t s) {
     Node& n = nodes_[s];
@@ -239,12 +174,10 @@ class LruMap {
   }
 
   std::size_t cap_;
-  std::size_t size_ = 0;
-  std::vector<Node> nodes_;           ///< slab of entries, live and free
-  std::vector<std::uint32_t> index_;  ///< open-addressing PageId -> slot
-  std::uint32_t head_ = kNil;        ///< MRU
-  std::uint32_t tail_ = kNil;        ///< LRU
-  std::uint32_t free_ = kNil;        ///< recycled slots
+  Slab<Node> nodes_;
+  PageIndex index_;
+  std::uint32_t head_ = kNil;  ///< MRU
+  std::uint32_t tail_ = kNil;  ///< LRU
 };
 
 }  // namespace gemsd

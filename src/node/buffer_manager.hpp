@@ -3,12 +3,11 @@
 #include <coroutine>
 #include <functional>
 #include <optional>
-#include <unordered_map>
-#include <vector>
 
 #include "core/config.hpp"
 #include "core/lru.hpp"
 #include "core/metrics.hpp"
+#include "core/page_index.hpp"
 #include "core/types.hpp"
 #include "node/cpu.hpp"
 #include "node/txn.hpp"
@@ -91,11 +90,25 @@ class BufferManager {
   NodeId node() const { return node_; }
   std::size_t frames_in_use() const { return frames_.size(); }
   std::uint64_t writebacks() const { return writebacks_; }
+  /// Slots of the in-flight read table ever used (a finished read's slot is
+  /// reused by the next one).
+  std::size_t inflight_slots() const { return inflight_.slots(); }
 
  private:
   struct Frame {
     SeqNo seqno = 0;
     bool dirty = false;
+  };
+  /// A reader merged into another's in-flight read of the same page; lives
+  /// in the waiting reader's coroutine frame.
+  struct ReadWaiter {
+    std::coroutine_handle<> h;
+    ReadWaiter* next = nullptr;
+  };
+  /// The readers waiting on one in-flight read, in arrival order.
+  struct InflightRead {
+    ReadWaiter* first = nullptr;
+    ReadWaiter* last = nullptr;
   };
 
   void install_evicting(PageId p, Frame f);
@@ -115,8 +128,8 @@ class BufferManager {
   Metrics& metrics_;
 
   LruMap<Frame> frames_;
-  std::unordered_map<PageId, SeqNo> writeback_;  ///< in-flight dirty evictions
-  std::unordered_map<PageId, std::vector<std::coroutine_handle<>>> inflight_;
+  PageMap<SeqNo> writeback_;  ///< in-flight dirty evictions
+  PageMap<InflightRead> inflight_;
   std::function<void(NodeId, PageId, SeqNo)> writeback_done_;
   std::uint64_t writebacks_ = 0;
 };

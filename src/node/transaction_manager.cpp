@@ -11,6 +11,10 @@ namespace {
 /// Node-private append streams (one tail page per node) are spaced apart in
 /// the page number space of the sequential partition.
 constexpr std::int64_t kAppendStride = std::int64_t{1} << 40;
+
+std::array<std::vector<PageId>*, 3> page_lists(Txn& txn) {
+  return {&txn.held, &txn.dirty, &txn.dirty_unlocked};
+}
 }  // namespace
 
 TransactionManager::TransactionManager(sim::Scheduler& sched, sim::Rng& rng,
@@ -38,6 +42,20 @@ void TransactionManager::submit(workload::TxnSpec spec, sim::SimTime arrival) {
   txn.spec = std::move(spec);
   ++submitted_;
   sched_.spawn(run(std::move(txn)));
+}
+
+void TransactionManager::reuse_page_lists(Txn& txn) {
+  const auto lists = page_lists(txn);
+  for (std::size_t i = 0; i < lists.size(); ++i) {
+    *lists[i] = spare_lists_[i].take();
+  }
+}
+
+void TransactionManager::recycle_page_lists(Txn& txn) {
+  const auto lists = page_lists(txn);
+  for (std::size_t i = 0; i < lists.size(); ++i) {
+    spare_lists_[i].give(std::move(*lists[i]));
+  }
 }
 
 sim::Task<void> TransactionManager::consume_cpu(Txn& txn, double instr) {
@@ -177,6 +195,8 @@ sim::Task<bool> TransactionManager::execute(Txn& txn) {
 
 sim::Task<void> TransactionManager::run(Txn txn) {
   const double qwait = co_await mpl_.acquire();
+  // Lists circulate among admitted transactions only, at most mpl of them.
+  reuse_page_lists(txn);
   txn.t_queue = qwait;
   metrics_.mpl_wait.add(qwait);
   if (metrics_.trace && qwait > 0.0) {
@@ -193,6 +213,7 @@ sim::Task<void> TransactionManager::run(Txn txn) {
       // Crash: the transaction is lost, not restarted.
       metrics_.lost_txns.inc();
       mpl_.release();
+      recycle_page_lists(txn);
       co_return;
     }
     metrics_.aborts.inc();
@@ -286,6 +307,7 @@ sim::Task<void> TransactionManager::run(Txn txn) {
     s.queue = txn.t_queue;
     metrics_.slow->add(s);
   }
+  recycle_page_lists(txn);
 }
 
 }  // namespace gemsd::node

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 
 #include "cc/protocol.hpp"
@@ -59,6 +60,10 @@ class TransactionManager {
   sim::Task<void> consume_cpu(Txn& txn, double instr);
   /// Resolve a HISTORY-style append reference to this node's tail page.
   PageId resolve_append(PageId ref, bool& fresh_page);
+  /// The held, dirty and dirty_unlocked lists of a finished transaction go
+  /// to spare_lists_ and come back as a new transaction's lists.
+  void reuse_page_lists(Txn& txn);
+  void recycle_page_lists(Txn& txn);
 
   sim::Scheduler& sched_;
   sim::Rng& rng_;
@@ -76,6 +81,7 @@ class TransactionManager {
   std::uint64_t submitted_ = 0;
   std::int64_t appends_ = 0;
   bool failed_ = false;
+  std::array<PageListPool, 3> spare_lists_;
 };
 
 }  // namespace gemsd::node

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "core/types.hpp"
@@ -17,6 +18,8 @@ struct Txn {
 
   /// Pages locked by this transaction, in acquisition order (strict 2PL:
   /// released only at EOT). The mode held is tracked in the lock table.
+  /// The transaction manager hands these three lists on from finished
+  /// transactions to new ones, so they keep their capacity.
   std::vector<PageId> held;
   /// Locked pages modified by this transaction (subset of held, unique).
   std::vector<PageId> dirty;
@@ -47,6 +50,27 @@ struct Txn {
       if (d == p) return;
     dirty_unlocked.push_back(p);
   }
+};
+
+/// Spare page lists: a list given back keeps its capacity for the next
+/// take(), so lists built anew for every transaction stop allocating once
+/// they have grown to their working size.
+class PageListPool {
+ public:
+  std::vector<PageId> take() {
+    if (spare_.empty()) return {};
+    std::vector<PageId> v = std::move(spare_.back());
+    spare_.pop_back();
+    return v;
+  }
+  void give(std::vector<PageId>&& v) {
+    if (v.capacity() == 0) return;
+    v.clear();
+    spare_.push_back(std::move(v));
+  }
+
+ private:
+  std::vector<std::vector<PageId>> spare_;
 };
 
 }  // namespace gemsd::node

@@ -514,6 +514,14 @@ CompareReport compare_results(const JsonValue& baseline,
   for (const RunRef& c : cand) {
     if (!matched.count(c.key)) rep.unmatched_cand.push_back(c.key);
   }
+  // A gate that compared nothing has not passed: every run key (config
+  // hash, label, name) changed, or a document holds no runs.
+  if (rep.deltas.empty()) {
+    rep.error = "no baseline run matches a candidate run (" +
+                std::to_string(base.size()) + " baseline, " +
+                std::to_string(cand.size()) +
+                " candidate runs); nothing was compared";
+  }
   return rep;
 }
 

@@ -136,7 +136,8 @@ struct CompareReport {
   int improvements = 0;
   std::vector<std::string> unmatched_base;  ///< keys only in the baseline
   std::vector<std::string> unmatched_cand;  ///< keys only in the candidate
-  std::string error;                ///< non-empty: documents not comparable
+  /// Non-empty: the documents are not comparable, or no run matched.
+  std::string error;
 };
 
 /// Diff two gemsd.results.v1 documents. Runs are matched by config hash plus

@@ -399,6 +399,21 @@ TEST(Compare, RunsMatchByNameWithinSharedConfig) {
             std::string::npos);
 }
 
+TEST(Compare, FailsWhenNoRunMatches) {
+  // Every run key changed (here the config hash): nothing is compared, so
+  // the gate must not report a clean pass.
+  std::string moved = results_doc(60.0, 1.5, 1000.0);
+  moved.replace(moved.find("abcd"), 4, "ef01");
+  const obs::JsonValue a = parse(results_doc(60.0, 1.5, 1000.0));
+  const obs::JsonValue b = parse(moved);
+  const obs::CompareReport rep = obs::compare_results(a, b, 0.05);
+  EXPECT_EQ(rep.regressions, 0);
+  EXPECT_NE(rep.error.find("no baseline run matches"), std::string::npos)
+      << rep.error;
+  EXPECT_EQ(rep.unmatched_base.size(), 1u);
+  EXPECT_EQ(rep.unmatched_cand.size(), 1u);
+}
+
 TEST(Compare, RejectsForeignDocuments) {
   const obs::JsonValue a = parse("{\"schema\":\"something.else\"}");
   const obs::JsonValue b = parse(results_doc(1.0, 0.0, 1.0));

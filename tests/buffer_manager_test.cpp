@@ -123,6 +123,33 @@ TEST(BufferManager, ConcurrentReadsMergeIntoOnePhysicalIO) {
   EXPECT_EQ(f.metrics.misses[0].value(), 2u);  // but two logical misses
 }
 
+Task<void> read_then_log(BufferManager& bm, PageId p, int id,
+                         std::vector<int>& order) {
+  co_await bm.read_from_storage(nullptr, p, 1);
+  order.push_back(id);
+}
+
+TEST(BufferManager, MergedReadersResumeInArrivalOrderAndSlotIsReused) {
+  Fixture f;
+  std::vector<int> order;
+  // Three readers of one page: the first issues the device read, the other
+  // two wait on it and resume after it, in the order they arrived.
+  for (int id = 0; id < 3; ++id) {
+    f.sched.spawn(read_then_log(*f.bm, bt(7), id, order));
+  }
+  f.sched.run_all();
+  auto* grp = f.storage->group(DebitCreditIds::kBranchTeller);
+  EXPECT_EQ(grp->reads(), 1u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(f.bm->inflight_slots(), 1u);
+  // A later read of another page reuses the finished read's slot.
+  f.sched.spawn(read_then_log(*f.bm, bt(8), 3, order));
+  f.sched.run_all();
+  EXPECT_EQ(grp->reads(), 2u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(f.bm->inflight_slots(), 1u);
+}
+
 TEST(BufferManager, MarkDirtyAndCommitTransitions) {
   Fixture f;
   f.bm->install(bt(1), 4, false);

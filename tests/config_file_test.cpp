@@ -1,10 +1,17 @@
 // Tests for the INI run-spec parser behind tools/gemsd_run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "core/config_file.hpp"
+
+#ifndef GEMSD_SOURCE_DIR
+#define GEMSD_SOURCE_DIR "."
+#endif
 
 namespace gemsd {
 namespace {
@@ -106,8 +113,9 @@ TEST(RunSpec, ErrorsCarryLineNumbers) {
 // Each of these values breaks a run (buffer = 0 never makes progress,
 // mpl = 0, tps = 0 and measure = 0 measure nothing, nodes = 0 fails deep
 // inside the shard map, cpu_procs = 0 reports NaN utilizations, a negative
-// trace_txns asks for an impossible reservation), so each is refused at its
-// line, naming the key.
+// trace_txns asks for an impossible reservation, a negative service time or
+// instruction count runs the clock backwards, log_disks = 0 leaves no log
+// device), so each is refused at its line, naming the key.
 void expect_rejected(const std::string& text, const std::string& what) {
   try {
     parse(text);
@@ -144,22 +152,36 @@ TEST(RunSpec, RejectsNonPositiveTps) {
   expect_rejected("[system]\nwarmup = -1\n", "warmup must be >= 0");
 }
 
+TEST(RunSpec, RejectsNegativeCostsAndNoLogDisks) {
+  expect_rejected("[system]\ngem_entry_us = -1\n", "gem_entry_us must be >= 0");
+  expect_rejected("[system]\ngem_entry_us = nan\n",
+                  "gem_entry_us must be >= 0");
+  expect_rejected("[system]\nmsg_short_instr = -1\n",
+                  "msg_short_instr must be >= 0");
+  expect_rejected("[run]\nmsg_long_instr = -5000\n",
+                  "msg_long_instr must be >= 0");
+  expect_rejected("[system]\nlog_disks = 0\n", "log_disks must be >= 1");
+  expect_rejected("[run]\nlog_disks = -1\n", "log_disks must be >= 1");
+  // Zero costs stay valid.
+  EXPECT_NO_THROW(parse("[system]\ngem_entry_us = 0\nmsg_short_instr = 0\n"
+                        "msg_long_instr = 0\nlog_disks = 1\n"));
+}
+
 TEST(RunSpec, ShippedSpecsParse) {
-  // The specs/ directory must stay in sync with the parser.
-  const std::string bases[] = {"specs/", "../specs/", "../../specs/"};
-  std::string base;
-  for (const auto& b : bases) {
-    if (std::ifstream(b + "fig41_affinity_noforce.ini")) {
-      base = b;
-      break;
-    }
+  // Every spec in specs/ must stay in sync with the parser.
+  std::vector<std::filesystem::path> specs;
+  for (const auto& e : std::filesystem::directory_iterator(
+           std::filesystem::path(GEMSD_SOURCE_DIR) / "specs")) {
+    if (e.path().extension() == ".ini") specs.push_back(e.path());
   }
-  if (base.empty()) GTEST_SKIP() << "specs/ not reachable from test cwd";
-  for (const char* p : {"fig41_affinity_noforce.ini", "bt_on_gem_force.ini",
-                        "trace_pcl.ini"}) {
-    std::ifstream f(base + p);
+  std::sort(specs.begin(), specs.end());
+  ASSERT_FALSE(specs.empty()) << "no specs/*.ini under " << GEMSD_SOURCE_DIR;
+  for (const auto& p : specs) {
+    std::ifstream f(p);
     ASSERT_TRUE(f.is_open()) << p;
-    EXPECT_NO_THROW(parse_run_spec(f)) << p;
+    SpecDoc doc;
+    EXPECT_NO_THROW(doc = parse_spec_doc(f)) << p;
+    EXPECT_FALSE(doc.runs.empty()) << p;
   }
 }
 

@@ -109,9 +109,9 @@ TEST(LockTable, DeadlockTwoTxnCycle) {
   ASSERT_EQ(lt.acquire(P, 1, 0, LockMode::Write, {}), Outcome::Granted);
   ASSERT_EQ(lt.acquire(Q, 2, 0, LockMode::Write, {}), Outcome::Granted);
   ASSERT_EQ(lt.acquire(Q, 1, 0, LockMode::Write, {}), Outcome::Waiting);
-  EXPECT_FALSE(creates_deadlock(lt, 1));
+  EXPECT_FALSE(lt.creates_deadlock(1));
   ASSERT_EQ(lt.acquire(P, 2, 0, LockMode::Write, {}), Outcome::Waiting);
-  EXPECT_TRUE(creates_deadlock(lt, 2));
+  EXPECT_TRUE(lt.creates_deadlock(2));
 }
 
 TEST(LockTable, DeadlockUpgradeCycle) {
@@ -121,7 +121,7 @@ TEST(LockTable, DeadlockUpgradeCycle) {
   ASSERT_EQ(lt.acquire(P, 2, 0, LockMode::Read, {}), Outcome::Granted);
   ASSERT_EQ(lt.acquire(P, 1, 0, LockMode::Write, {}), Outcome::Waiting);
   ASSERT_EQ(lt.acquire(P, 2, 0, LockMode::Write, {}), Outcome::Waiting);
-  EXPECT_TRUE(creates_deadlock(lt, 2));
+  EXPECT_TRUE(lt.creates_deadlock(2));
 }
 
 TEST(LockTable, NoDeadlockOnChain) {
@@ -129,7 +129,7 @@ TEST(LockTable, NoDeadlockOnChain) {
   ASSERT_EQ(lt.acquire(P, 1, 0, LockMode::Write, {}), Outcome::Granted);
   ASSERT_EQ(lt.acquire(P, 2, 0, LockMode::Write, {}), Outcome::Waiting);
   ASSERT_EQ(lt.acquire(P, 3, 0, LockMode::Write, {}), Outcome::Waiting);
-  EXPECT_FALSE(creates_deadlock(lt, 3));  // chain, no cycle
+  EXPECT_FALSE(lt.creates_deadlock(3));  // chain, no cycle
 }
 
 TEST(LockTable, ThreeTxnCycle) {
@@ -140,9 +140,9 @@ TEST(LockTable, ThreeTxnCycle) {
   ASSERT_EQ(lt.acquire(R, 3, 0, LockMode::Write, {}), Outcome::Granted);
   ASSERT_EQ(lt.acquire(Q, 1, 0, LockMode::Write, {}), Outcome::Waiting);
   ASSERT_EQ(lt.acquire(R, 2, 0, LockMode::Write, {}), Outcome::Waiting);
-  EXPECT_FALSE(creates_deadlock(lt, 2));
+  EXPECT_FALSE(lt.creates_deadlock(2));
   ASSERT_EQ(lt.acquire(P, 3, 0, LockMode::Write, {}), Outcome::Waiting);
-  EXPECT_TRUE(creates_deadlock(lt, 3));
+  EXPECT_TRUE(lt.creates_deadlock(3));
 }
 
 TEST(LockTable, EntriesRemovedWhenEmpty) {

@@ -77,7 +77,7 @@ TEST_P(LockFuzz, GrantedSetsAlwaysCompatibleAndNoLostWakeups) {
         });
     if (res == cc::LockTable::Outcome::Granted) {
       st.held[page] = mode;
-    } else if (cc::creates_deadlock(lt, t)) {
+    } else if (lt.creates_deadlock(t)) {
       lt.cancel_wait(PageId{0, page}, t);
       // Abort: release everything.
       for (const auto& [p, m] : st.held) lt.release(PageId{0, p}, t);

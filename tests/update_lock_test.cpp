@@ -61,7 +61,7 @@ TEST(UpdateLock, NoDeadlockBetweenTwoUpdaters) {
   LockTable lt;
   ASSERT_EQ(lt.acquire(P, 1, 0, LockMode::Update, {}), Outcome::Granted);
   ASSERT_EQ(lt.acquire(P, 2, 0, LockMode::Update, {}), Outcome::Waiting);
-  EXPECT_FALSE(creates_deadlock(lt, 2));
+  EXPECT_FALSE(lt.creates_deadlock(2));
   ASSERT_EQ(lt.acquire(P, 1, 0, LockMode::Write, {}), Outcome::Granted);
   lt.release(P, 1);
   EXPECT_TRUE(lt.holds(P, 2, LockMode::Update));

@@ -24,7 +24,8 @@
 //       Diff two results documents run by run (matched on config hash +
 //       label + name). A throughput or response-time regression beyond the
 //       batch-means CIs and the relative tolerance band exits 1 — the CI
-//       bench-regression gate.
+//       bench-regression gate. Documents in which no run matches (every
+//       config hash changed) exit 2: a gate that compared nothing fails.
 //
 //   gemsd_analyze --timeseries <timeseries.json> [--csv=FILE]
 //       Steady-state report from a "gemsd.timeseries.v1" document (written
