@@ -6,11 +6,12 @@
 //   3. replay it through closely and loosely coupled clusters.
 //
 //   ./trace_driven [--load=FILE] [--save=FILE] [--nodes=N] [--measure=S]
+//                  [--warmup=S]
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "core/experiment.hpp"
+#include "core/flags.hpp"
 #include "workload/trace_generator.hpp"
 
 int main(int argc, char** argv) {
@@ -18,13 +19,28 @@ int main(int argc, char** argv) {
   std::string load_path, save_path;
   int nodes = 4;
   double measure = 20.0, warmup = 8.0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind("--load=", 0) == 0) load_path = a.substr(7);
-    else if (a.rfind("--save=", 0) == 0) save_path = a.substr(7);
-    else if (a.rfind("--nodes=", 0) == 0) nodes = std::atoi(a.c_str() + 8);
-    else if (a.rfind("--measure=", 0) == 0) measure = std::atof(a.c_str() + 10);
-    else if (a.rfind("--warmup=", 0) == 0) warmup = std::atof(a.c_str() + 9);
+  bool help = false;
+  using K = Flag::Kind;
+  const FlagTable table = {
+      {"--load", K::String, "FILE", "replay this trace file", &load_path},
+      {"--save", K::String, "FILE", "write the trace to FILE", &save_path},
+      {"--nodes", K::Int, "N", "cluster size (default 4)", &nodes, 0.0},
+      {"--measure", K::Double, "S", "measured interval [sim s] (default 20)",
+       &measure, 0.0},
+      {"--warmup", K::Double, "S", "warm-up [sim s] (default 8)", &warmup},
+      {"--help", K::Switch, "", "print this usage and exit (also -h)", &help},
+  };
+  const std::string usage = "usage: trace_driven [flags]\n\n" +
+                            flag_usage(table);
+  if (const std::string err = parse_flags({argv + 1, argv + argc}, table);
+      !err.empty()) {
+    std::fprintf(stderr, "trace_driven: %s\n\n%s", err.c_str(),
+                 usage.c_str());
+    return 2;
+  }
+  if (help) {
+    std::fputs(usage.c_str(), stdout);
+    return 0;
   }
 
   workload::Trace trace;

@@ -143,8 +143,6 @@ struct SystemConfig {
     /// count — the knob that lets long runs keep a complete window of just
     /// lock/flow/IO events.
     std::string trace_filter = "";
-    /// Keep the K slowest transactions with full phase breakdowns (0 = off).
-    int slow_k = 0;
     /// Online invariant auditors in the TM/lock/buffer hot paths (fail fast
     /// with a trace cursor on the first violated invariant).
     bool audit = false;

@@ -280,6 +280,9 @@ const KeyDef kSystemKeys[] = {
     {"lock_engine_us",
      [](SystemConfig& c, const std::string& v, int l) {
        c.lock_engine_service = spec_num(v, l) * 1e-6;
+       if (!(c.lock_engine_service >= 0)) {
+         fail(l, "lock_engine_us must be >= 0");
+       }
      },
      [](const SystemConfig& c) {
        return fmt_us(c.lock_engine_service);
@@ -312,15 +315,20 @@ void apply_one(SystemConfig& cfg, const std::string& key,
     const std::string pname = key.substr(dot + 1);
     PartitionConfig* pc = find_partition(cfg, pname);
     if (!pc) fail(line, "unknown partition '" + pname + "'");
+    const auto cache_pages = [&] {
+      const std::int64_t n = spec_i64(val, line);
+      if (n < 0) fail(line, key + " must be >= 0");
+      return n;
+    };
     if (field == "storage") {
       pc->storage = parse_storage(val, line);
     } else if (field == "cache_pages") {
-      pc->disk_cache_pages = spec_i64(val, line);
+      pc->disk_cache_pages = cache_pages();
       pc->gem_cache_pages = pc->disk_cache_pages;
     } else if (field == "disk_cache_pages") {
-      pc->disk_cache_pages = spec_i64(val, line);
+      pc->disk_cache_pages = cache_pages();
     } else if (field == "gem_cache_pages") {
-      pc->gem_cache_pages = spec_i64(val, line);
+      pc->gem_cache_pages = cache_pages();
     } else {
       fail(line, "unknown partition key '" + field + "'");
     }

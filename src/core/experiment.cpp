@@ -79,8 +79,6 @@ FlagTable shared_flags(BenchOptions& o) {
        &o.jobs},
       {"--full", K::Switch, "", "verbose per-run diagnostics", &o.full},
       {"--csv", K::Switch, "", "machine-readable output", &o.csv},
-      {"--slow-k", K::Int, "K", "record the K slowest transactions per run",
-       &obs.slow_k},
       {"--metrics-json", K::String, "F",
        "structured results file (default\n"
        "results/BENCH_<bench>.json)",
@@ -209,7 +207,6 @@ void apply_obs_options(std::vector<SystemConfig>& cfgs,
   const std::size_t picked = picked_point(opt, cfgs.size());
   for (std::size_t i = 0; i < cfgs.size(); ++i) {
     auto& obs = cfgs[i].obs;
-    obs.slow_k = opt.obs.slow_k;
     obs.audit = opt.obs.audit;
     obs.progress_every_s = opt.obs.progress_every_s;
     if (i != picked) continue;
@@ -328,39 +325,6 @@ void write_metrics_object(obs::JsonWriter& w, const RunResult& r,
   w.end_object();
 }
 
-void write_telemetry_members(obs::JsonWriter& w, const obs::RunTelemetry* tel) {
-  w.key("detail");
-  w.begin_object();
-  if (tel) {
-    for (const auto& [name, value] : tel->detail) w.kv(name, value);
-  }
-  w.end_object();
-
-  w.key("slowest");
-  w.begin_array();
-  if (tel) {
-    for (const auto& t : tel->slowest) {
-      w.begin_object();
-      w.kv("id", static_cast<std::uint64_t>(t.id));
-      w.kv("node", static_cast<std::int64_t>(t.node));
-      w.kv("type", static_cast<std::int64_t>(t.type));
-      w.kv("restarts", static_cast<std::int64_t>(t.restarts));
-      w.kv("arrival_s", t.arrival);
-      w.kv("response_ms", t.response * 1e3);
-      w.key("breakdown_ms");
-      w.begin_object();
-      w.kv("cpu", t.cpu * 1e3);
-      w.kv("cpu_wait", t.cpu_wait * 1e3);
-      w.kv("io", t.io * 1e3);
-      w.kv("cc", t.cc * 1e3);
-      w.kv("queue", t.queue * 1e3);
-      w.end_object();
-      w.end_object();
-    }
-  }
-  w.end_array();
-}
-
 /// `given`, or the default results/<KIND>_<bench>.json when it is "".
 std::string artifact_path(const char* kind, const std::string& bench,
                           const std::string& given) {
@@ -415,7 +379,6 @@ std::string write_bench_json(const std::string& bench,
   w.kv("measure", opt.measure);
   w.kv("max_nodes", static_cast<std::int64_t>(opt.max_nodes));
   w.kv("seed", static_cast<std::uint64_t>(opt.seed));
-  w.kv("slow_k", static_cast<std::int64_t>(opt.obs.slow_k));
   w.kv("audit", opt.obs.audit);
   w.kv("trace_filter", opt.obs.trace_filter);
   w.end_object();
@@ -438,7 +401,12 @@ std::string write_bench_json(const std::string& bench,
     w.begin_object();
     for (const auto& [name, value] : run.extra) w.kv(name, value);
     w.end_object();
-    write_telemetry_members(w, run.result.telemetry.get());
+    w.key("detail");
+    w.begin_object();
+    if (const obs::RunTelemetry* tel = run.result.telemetry.get()) {
+      for (const auto& [name, value] : tel->detail) w.kv(name, value);
+    }
+    w.end_object();
     w.end_object();
   }
   w.end_array();

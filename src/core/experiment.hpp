@@ -41,7 +41,7 @@ struct BenchOptions {
   /// The observers as given on the command line. apply_obs_options copies
   /// the per-run ones to every sweep point, and the trace ring, time series
   /// and resource snapshot to the --trace-run point only.
-  SystemConfig::ObsConfig obs{.slow_k = 10};
+  SystemConfig::ObsConfig obs;
   std::string metrics_json;     ///< "" = results/BENCH_<bench>.json
   bool no_json = false;
   std::string trace_file;       ///< "" = no trace
@@ -101,7 +101,7 @@ std::vector<BenchRun> zip_runs(const std::vector<SystemConfig>& cfgs,
 /// Write the machine-readable results document ("gemsd.results.v1",
 /// validated by schemas/results.schema.json): caption, git describe, bench
 /// options, and per run the full config (with fingerprint hash), headline
-/// metrics, detail metrics, sampler time series and slowest transactions.
+/// metrics and detail metrics.
 /// Returns the path written, or "" when opt.no_json is set.
 std::string write_bench_json(const std::string& bench,
                              const std::string& caption,

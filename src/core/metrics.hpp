@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "core/types.hpp"
-#include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "sim/stats.hpp"
 #include "sim/time.hpp"
@@ -73,8 +72,6 @@ class Metrics {
 #else
   static constexpr obs::TraceRecorder* trace = nullptr;
 #endif
-  /// Top-K slowest-transaction log owned by System (capacity 0 = off).
-  obs::SlowTxnLog* slow = nullptr;
   /// Online invariant auditor owned by System (--audit; null = off). Checks
   /// are pure observation — metrics stay bit-identical either way.
   obs::Auditor* audit = nullptr;

@@ -36,9 +36,9 @@ System::System(const SystemConfig& cfg, Workload wl)
   }
   comm_->attach_nodes(cpu_ptrs);
 
-  // Observability: the recorder and slow-transaction log are owned here and
-  // reached by components via Metrics (null pointers when disabled — every
-  // record site is guarded, and with GEMSD_TRACING_ENABLED=0 compiled away).
+  // Observability: the recorders are owned here and reached by components
+  // via Metrics (null pointers when disabled — every record site is guarded,
+  // and with GEMSD_TRACING_ENABLED=0 compiled away).
   // Installed BEFORE the protocol so its constructor can wire the lock
   // table's trace hooks.
   if (cfg_.obs.trace) {
@@ -48,10 +48,6 @@ System::System(const SystemConfig& cfg, Workload wl)
     }
     metrics_.trace = trace_.get();
     comm_->set_trace(trace_.get());
-  }
-  if (cfg_.obs.slow_k > 0) {
-    slow_log_.set_capacity(static_cast<std::size_t>(cfg_.obs.slow_k));
-    metrics_.slow = &slow_log_;
   }
   if (cfg_.obs.audit) {
     audit_ = std::make_unique<obs::Auditor>(trace_.get());
@@ -398,7 +394,6 @@ void System::reset_stats() {
   stats_start_ = sched_.now();
   // Warm-up events are discarded like warm-up statistics.
   if (trace_) trace_->clear();
-  slow_log_.clear();
   if (ts_) {
     ts_->rebase(sched_.now());  // counters were just zeroed
     ts_->mark_stats_start(sched_.now());
@@ -517,9 +512,9 @@ RunResult System::collect() const {
 
   // Full telemetry payload: a flat dump of every Metrics field and every
   // Resource's utilization/queue/completion stats (fixed order — the JSON
-  // exporter writes these verbatim), plus the slow-txn log, the trace ring,
-  // the time series and the resource snapshot. Shared so sweep-level copies
-  // of RunResult stay cheap.
+  // exporter writes these verbatim), plus the trace ring, the time series
+  // and the resource snapshot. Shared so sweep-level copies of RunResult
+  // stay cheap.
   auto tel = std::make_shared<obs::RunTelemetry>();
   tel->stats_start = stats_start_;
   tel->end = sched_.now();
@@ -669,7 +664,6 @@ RunResult System::collect() const {
   add("sched.max_queue_depth", static_cast<double>(sched_.max_queued()));
   add("sched.queued_events", static_cast<double>(sched_.queued_events()));
 
-  tel->slowest = slow_log_.sorted();
   if (trace_) {
     tel->trace_enabled = true;
     tel->events = trace_->snapshot();

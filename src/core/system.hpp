@@ -78,7 +78,6 @@ class System {
 
   // observability (null/empty unless enabled in cfg.obs)
   obs::TraceRecorder* trace() { return trace_.get(); }
-  const obs::SlowTxnLog& slow_log() const { return slow_log_; }
   obs::Auditor* auditor() { return audit_.get(); }
   obs::TimeSeriesRecorder* timeseries() { return ts_.get(); }
   obs::ResourceRecorder* resource_recorder() { return resrec_.get(); }
@@ -134,7 +133,6 @@ class System {
   std::unique_ptr<obs::Auditor> audit_;
   std::unique_ptr<obs::TimeSeriesRecorder> ts_;
   std::unique_ptr<obs::ResourceRecorder> resrec_;
-  obs::SlowTxnLog slow_log_;
   sim::SimTime stats_start_ = 0;
   std::chrono::steady_clock::time_point progress_epoch_ =
       std::chrono::steady_clock::now();

@@ -292,21 +292,6 @@ sim::Task<void> TransactionManager::run(Txn txn) {
     tr->phase_total(obs::TraceName::kPhaseQueue, node_, txn.id, now,
                     txn.t_queue);
   }
-  if (metrics_.slow) {
-    obs::SlowTxn s;
-    s.id = txn.id;
-    s.node = static_cast<std::int16_t>(node_);
-    s.type = txn.spec.type;
-    s.restarts = txn.restarts;
-    s.arrival = txn.arrival;
-    s.response = rt;
-    s.cpu = txn.t_cpu;
-    s.cpu_wait = txn.t_cpu_wait;
-    s.io = txn.t_io;
-    s.cc = txn.t_cc;
-    s.queue = txn.t_queue;
-    metrics_.slow->add(s);
-  }
   recycle_page_lists(txn);
 }
 

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <limits>
 #include <map>
+#include <set>
 #include <utility>
 
 #include "obs/json.hpp"
@@ -18,6 +19,8 @@ namespace {
 /// Timestamp tolerance: Chrome export rounds microsecond timestamps through
 /// %.12g, so an imported trace can be off by ~1e-11 s from the native one.
 constexpr double kTol = 1e-9;
+
+constexpr int kNodeShift = 40;  ///< txn id layout: (node << 40) | sequence
 
 struct Span {
   double t0 = 0, t1 = 0;
@@ -109,6 +112,60 @@ void attribute_holder(const TxnData* holder, double x, double y, double scale,
   }
 }
 
+void add_phase(PhaseSums& p, TraceName n, double seconds) {
+  switch (n) {
+    case TraceName::kPhaseCpu: p.cpu_s += seconds; break;
+    case TraceName::kPhaseCpuWait: p.cpu_wait_s += seconds; break;
+    case TraceName::kPhaseIo: p.io_s += seconds; break;
+    case TraceName::kPhaseCc: p.cc_s += seconds; break;
+    case TraceName::kPhaseQueue: p.queue_s += seconds; break;
+    default: break;
+  }
+}
+
+/// Live wait-for edges of the replay: waiter -> the txns it waits on.
+using WaitFor = std::map<std::uint64_t, std::vector<std::uint64_t>>;
+
+/// Does `start` reach itself through the live wait-for edges?
+bool closes_cycle(const WaitFor& out, std::uint64_t start) {
+  std::set<std::uint64_t> visited;
+  std::vector<std::uint64_t> stack;
+  auto it = out.find(start);
+  if (it == out.end()) return false;
+  stack.insert(stack.end(), it->second.begin(), it->second.end());
+  while (!stack.empty()) {
+    const std::uint64_t t = stack.back();
+    stack.pop_back();
+    if (t == start) return true;
+    if (!visited.insert(t).second) continue;
+    auto oi = out.find(t);
+    if (oi != out.end()) {
+      stack.insert(stack.end(), oi->second.begin(), oi->second.end());
+    }
+  }
+  return false;
+}
+
+/// A transaction's locks dropped (commit, restart, deadlock abort): it can no
+/// longer block anyone, and until it waits again it waits on nothing. Remove
+/// its out-edges AND every stale edge pointing to it — wait edges are
+/// snapshots of the queue at enqueue time, and a restarted transaction reuses
+/// its id, so leftover incoming edges would close cycles the simulator never
+/// saw.
+void retire_txn(WaitFor& out, std::uint64_t id) {
+  out.erase(id);
+  for (auto& [waiter, edges] : out) {
+    edges.erase(std::remove(edges.begin(), edges.end(), id), edges.end());
+  }
+}
+
+/// Slowest first; ties broken by (arrival, id).
+bool slower(const TxnCritPath& x, const TxnCritPath& y) {
+  if (x.response_s != y.response_s) return x.response_s > y.response_s;
+  if (x.arrival_s != y.arrival_s) return x.arrival_s < y.arrival_s;
+  return x.id < y.id;
+}
+
 void append(std::string& out, const char* fmt, ...)
     __attribute__((format(printf, 2, 3)));
 
@@ -149,15 +206,24 @@ CritPathAnalysis critical_path(const std::vector<TraceEvent>& events,
   a.events = events.size();
   a.events_dropped = dropped;
 
-  // ---- pass 1: bucket the stream per transaction / per node -------------
+  // ---- pass 1: bucket the stream per transaction / per node, and replay
+  // the wait-for graph ---------------------------------------------------
   struct NodeMsgs {
     std::vector<std::pair<double, double>> iv;  ///< sorted by start
     double max_dur = 0;  ///< bounds the overlap-scan window
   };
   std::map<std::uint64_t, TxnData> txns;
   std::map<int, NodeMsgs> msgs;
-  for (const TraceEvent& e : events) {
+  std::map<std::pair<std::int32_t, std::int64_t>, HotPage> pages;
+  std::map<std::pair<int, int>, std::uint64_t> conflicts;
+  // Mirrors the lock table's waiting set as the trace replays.
+  WaitFor out;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const TraceEvent& e = events[i];
     switch (e.kind) {
+      case TraceKind::PhaseTotal:
+        add_phase(a.phases, e.name, e.value);
+        break;
       case TraceKind::Span:
         if (e.name == TraceName::kMsgSend || e.name == TraceName::kMsgRecv) {
           if (e.node >= 0) {
@@ -175,22 +241,80 @@ CritPathAnalysis critical_path(const std::vector<TraceEvent>& events,
           txns[e.id].spans.push_back(
               Span{e.t, e.t + e.dur, e.name, e.value, e.aux});
         }
+        if (e.name == TraceName::kLockWait) {
+          const auto key =
+              std::make_pair(e.aux, static_cast<std::int64_t>(e.value));
+          HotPage& hp = pages[key];
+          hp.partition = key.first;
+          hp.page = key.second;
+          ++hp.waits;
+          hp.wait_s += e.dur;
+          // The wait ended in a grant: retire this waiter's edges.
+          out.erase(e.id);
+        }
         break;
       case TraceKind::Instant:
+        if (e.name == TraceName::kWaitEdge) {
+          // One batch of consecutive instants (same waiter, same time stamp)
+          // is a full snapshot of that waiter's blocker set: the lock table
+          // re-emits a waiter's edges whenever its page's queue mutates, so
+          // a batch REPLACES whatever the waiter waited on before. Apply it,
+          // then run the cycle check once — exactly like the simulator's
+          // single check after enqueueing the waiter.
+          const std::uint64_t waiter = e.id;
+          auto& edges = out[waiter];
+          edges.clear();
+          std::size_t j = i;
+          for (; j < events.size(); ++j) {
+            const TraceEvent& f = events[j];
+            if (f.kind != TraceKind::Instant ||
+                f.name != TraceName::kWaitEdge || f.id != waiter ||
+                f.t != e.t) {
+              break;
+            }
+            const auto holder = static_cast<std::uint64_t>(f.value);
+            edges.push_back(holder);
+            ++a.wait_edges;
+            ++conflicts[{f.node, static_cast<int>(holder >> kNodeShift)}];
+            if (waiter == 0) continue;
+            auto& bl = txns[waiter].blockers;
+            if (!bl.empty() && bl.back().first == f.t &&
+                !bl.back().second.empty()) {
+              bl.back().second.push_back(holder);  // same batch
+            } else {
+              bl.emplace_back(f.t, std::vector<std::uint64_t>{holder});
+            }
+          }
+          i = j - 1;
+          if (closes_cycle(out, waiter)) {
+            ++a.cycles;
+            out.erase(waiter);  // the waiter is the victim; wait cancelled
+          }
+          break;
+        }
+        switch (e.name) {
+          case TraceName::kLockGrant:
+            // Granted at the logical grant instant: the txn waits on nothing
+            // until it blocks again. (The kLockWait span records later, when
+            // the — possibly remote — waiter's coroutine resumes.)
+            out.erase(e.id);
+            break;
+          case TraceName::kDeadlock:
+            ++a.deadlock_instants;
+            retire_txn(out, e.id);
+            break;
+          case TraceName::kRestart:
+          case TraceName::kCommit:
+            retire_txn(out, e.id);
+            break;
+          default:
+            break;
+        }
         if (e.id == 0) break;
         if (e.name == TraceName::kRestart) {
           TxnData& d = txns[e.id];
           d.restarts.push_back(e.t);
           d.blockers.emplace_back(e.t, std::vector<std::uint64_t>{});
-        } else if (e.name == TraceName::kWaitEdge) {
-          auto& bl = txns[e.id].blockers;
-          const auto holder = static_cast<std::uint64_t>(e.value);
-          if (!bl.empty() && bl.back().first == e.t &&
-              !bl.back().second.empty()) {
-            bl.back().second.push_back(holder);  // same batch
-          } else {
-            bl.emplace_back(e.t, std::vector<std::uint64_t>{holder});
-          }
         } else if (e.name == TraceName::kLockGrant ||
                    e.name == TraceName::kDeadlock) {
           txns[e.id].blockers.emplace_back(e.t,
@@ -198,7 +322,7 @@ CritPathAnalysis critical_path(const std::vector<TraceEvent>& events,
         }
         break;
       default:
-        break;  // counters, flows, phase totals are not path inputs
+        break;  // flows are not path inputs
     }
   }
   for (auto& [node, m] : msgs) {
@@ -417,6 +541,9 @@ CritPathAnalysis critical_path(const std::vector<TraceEvent>& events,
     else tally(a.cohorts[4]);
   }
 
+  std::sort(paths.begin(), paths.end(), slower);
+  a.paths = std::move(paths);
+
   a.nodes.reserve(nodes.size());
   for (const auto& [n, nc] : nodes) {
     (void)n;
@@ -434,6 +561,31 @@ CritPathAnalysis critical_path(const std::vector<TraceEvent>& events,
                 return x.lock_wait_s > y.lock_wait_s;
               }
               return x.partition < y.partition;
+            });
+
+  a.hot_pages.reserve(pages.size());
+  for (const auto& [key, hp] : pages) {
+    (void)key;
+    a.hot_pages.push_back(hp);
+  }
+  std::sort(a.hot_pages.begin(), a.hot_pages.end(),
+            [](const HotPage& x, const HotPage& y) {
+              if (x.wait_s != y.wait_s) return x.wait_s > y.wait_s;
+              if (x.partition != y.partition) return x.partition < y.partition;
+              return x.page < y.page;
+            });
+
+  a.conflicts.reserve(conflicts.size());
+  for (const auto& [key, edges] : conflicts) {
+    a.conflicts.push_back(ConflictPair{key.first, key.second, edges});
+  }
+  std::sort(a.conflicts.begin(), a.conflicts.end(),
+            [](const ConflictPair& x, const ConflictPair& y) {
+              if (x.edges != y.edges) return x.edges > y.edges;
+              if (x.waiter_node != y.waiter_node) {
+                return x.waiter_node < y.waiter_node;
+              }
+              return x.holder_node < y.holder_node;
             });
   return a;
 }
@@ -537,6 +689,50 @@ std::string format_critical_path(const CritPathAnalysis& a, int top_k) {
              pc.page_fetch_s, pc.io_s);
     }
   }
+
+  const auto top = [top_k](std::size_t n) {
+    return std::min(n, static_cast<std::size_t>(std::max(top_k, 0)));
+  };
+  append(out, "\nhot pages (top %d by lock-wait time):\n", top_k);
+  for (std::size_t i = 0; i < top(a.hot_pages.size()); ++i) {
+    const HotPage& hp = a.hot_pages[i];
+    append(out, "  part %d page %lld: %llu waits, %.3f ms total\n",
+           hp.partition, static_cast<long long>(hp.page),
+           static_cast<unsigned long long>(hp.waits), hp.wait_s * 1e3);
+  }
+  if (a.hot_pages.empty()) append(out, "  (none)\n");
+
+  append(out, "lock-conflict pairs (waiter node -> holder node):\n");
+  for (std::size_t i = 0; i < top(a.conflicts.size()); ++i) {
+    const ConflictPair& c = a.conflicts[i];
+    append(out, "  %d -> %d: %llu edges\n", c.waiter_node, c.holder_node,
+           static_cast<unsigned long long>(c.edges));
+  }
+  if (a.conflicts.empty()) append(out, "  (none)\n");
+
+  append(out,
+         "wait-for graph: %llu edges, %llu cycles (deadlock events: %llu)\n",
+         static_cast<unsigned long long>(a.wait_edges),
+         static_cast<unsigned long long>(a.cycles),
+         static_cast<unsigned long long>(a.deadlock_instants));
+
+  append(out, "\nslowest transactions (top %d, ms):\n", top_k);
+  append(out, "  %-14s %4s %10s %8s %9s %8s %8s %8s %8s %8s %8s %8s\n",
+         "id", "node", "arrival_s", "restarts", "resp", "cpu", "io", "lock",
+         "gem", "msg", "queue", "other");
+  for (std::size_t i = 0; i < top(a.paths.size()); ++i) {
+    const TxnCritPath& p = a.paths[i];
+    const CritBreakdown& c = p.path;
+    append(out,
+           "  %-14llu %4d %10.4f %8d %9.3f %8.3f %8.3f %8.3f %8.3f %8.3f "
+           "%8.3f %8.3f\n",
+           static_cast<unsigned long long>(p.id), p.node, p.arrival_s,
+           p.restarts, p.response_s * 1e3, (c.cpu_s + c.cpu_wait_s) * 1e3,
+           (c.io_s + c.commit_io_s + c.page_fetch_s) * 1e3,
+           c.lock_wait_s * 1e3, c.gem_s * 1e3, c.msg_s * 1e3,
+           (c.mpl_wait_s + c.backoff_s) * 1e3, c.other_s * 1e3);
+  }
+  if (a.paths.empty()) append(out, "  (none)\n");
   return out;
 }
 
@@ -567,7 +763,7 @@ void write_breakdown(JsonWriter& w, const CritBreakdown& b) {
 
 }  // namespace
 
-std::string critical_path_json(const CritPathAnalysis& a) {
+std::string critical_path_json(const CritPathAnalysis& a, int top_k) {
   JsonWriter w;
   w.begin_object();
   w.kv("schema", "gemsd.critpath.v1");
@@ -630,6 +826,23 @@ std::string critical_path_json(const CritPathAnalysis& a) {
     w.kv("response_s", c.response_s);
     w.key("path");
     write_breakdown(w, c.sum);
+    w.end_object();
+  }
+  w.end_array();
+  w.key("slowest");
+  w.begin_array();
+  const std::size_t k =
+      std::min(a.paths.size(), static_cast<std::size_t>(std::max(top_k, 0)));
+  for (std::size_t i = 0; i < k; ++i) {
+    const TxnCritPath& p = a.paths[i];
+    w.begin_object();
+    w.kv("id", p.id);
+    w.kv("node", static_cast<std::int64_t>(p.node));
+    w.kv("arrival_s", p.arrival_s);
+    w.kv("restarts", static_cast<std::int64_t>(p.restarts));
+    w.kv("response_s", p.response_s);
+    w.key("path");
+    write_breakdown(w, p.path);
     w.end_object();
   }
   w.end_array();

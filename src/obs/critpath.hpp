@@ -8,14 +8,16 @@
 
 namespace gemsd::obs {
 
-/// Critical-path profiler (tools/gemsd_analyze --critical-path): replay a
-/// trace into per-transaction blocking chains and answer "where did the
-/// response time of the slow transactions actually go?". Unlike the phase
-/// buckets in analyze.hpp (which sum what each transaction *did*), the
-/// critical path classifies every second of wall response time — including
-/// lock waits resolved to what the *holder* was doing at that moment, message
-/// round trips, and restart backoff — so the per-class seconds of one
-/// transaction sum to its traced response time by construction.
+/// The trace replay behind tools/gemsd_analyze: one pass over a trace that
+/// answers "where did the response time of the slow transactions actually
+/// go?" and "which node's transactions block which?". Every second of each
+/// committed transaction's response is classified — lock waits resolved to
+/// what the *holder* was doing at that moment, message round trips, restart
+/// backoff — so the per-class seconds of one transaction sum to its traced
+/// response time by construction. The same pass sums the per-txn phase
+/// totals (what reconcile() checks against the reported breakdown), ranks
+/// the hot pages, counts lock-conflict pairs and replays the wait-for graph
+/// (whose cycle count cross-checks the simulator's deadlock counter).
 ///
 /// Everything here is deterministic: same events in, same bytes out, at any
 /// --jobs value (each simulation owns its recorder).
@@ -93,6 +95,32 @@ struct CohortCrit {
   CritBreakdown sum;
 };
 
+/// One contended page: how often and how long transactions blocked on it.
+struct HotPage {
+  std::int32_t partition = 0;
+  std::int64_t page = 0;
+  std::uint64_t waits = 0;
+  double wait_s = 0;
+};
+
+/// Wait-for edges aggregated by (waiter node, holder node) — the paper's
+/// local vs remote conflict signal.
+struct ConflictPair {
+  int waiter_node = -1;
+  int holder_node = -1;
+  std::uint64_t edges = 0;
+};
+
+/// Cluster-wide sums of the per-txn PhaseTotal records: the exact seconds
+/// Metrics::breakdown_* averages, so they reconcile with the report.
+struct PhaseSums {
+  double cpu_s = 0;
+  double cpu_wait_s = 0;
+  double io_s = 0;
+  double cc_s = 0;
+  double queue_s = 0;
+};
+
 struct CritPathAnalysis {
   std::uint64_t events = 0;
   std::uint64_t events_dropped = 0;
@@ -100,12 +128,28 @@ struct CritPathAnalysis {
   std::uint64_t restarts = 0;
   double response_s = 0;        ///< summed traced response time
   CritBreakdown total;          ///< summed over all committed transactions
+  PhaseSums phases;             ///< summed PhaseTotal records
 
   double p50_ms = 0, p90_ms = 0, p99_ms = 0;  ///< response percentiles
 
   std::vector<NodeCrit> nodes;            ///< ascending node id
   std::vector<PartitionCrit> partitions;  ///< lock_wait_s desc
   std::vector<CohortCrit> cohorts;        ///< all, <=p50, p50-p90, p90-p99, >p99
+  /// Every committed transaction's path, slowest first; ties broken by
+  /// (arrival, id) so the order is deterministic.
+  std::vector<TxnCritPath> paths;
+
+  std::vector<HotPage> hot_pages;       ///< wait_s desc, then (part, page)
+  std::vector<ConflictPair> conflicts;  ///< edges desc, then pair
+
+  // Wait-for graph replay: wait.edge instants are applied in trace order,
+  // edges retire when their waiter is granted (lock.wait span or grant
+  // instant), aborted (deadlock instant) or finishes (commit/restart); a
+  // cycle is counted when a new waiter's edges close one — the same check
+  // the simulator runs, so `cycles` cross-checks the deadlock counter.
+  std::uint64_t wait_edges = 0;
+  std::uint64_t cycles = 0;
+  std::uint64_t deadlock_instants = 0;  ///< kDeadlock events seen
 
   /// Per-txn reconciliation: |path.total_s() - response_s| / response_s.
   std::uint64_t txns_within_tol = 0;  ///< within 1%
@@ -120,10 +164,12 @@ struct CritPathAnalysis {
 CritPathAnalysis critical_path(const std::vector<TraceEvent>& events,
                                std::uint64_t dropped);
 
-/// Human-readable report (deterministic bytes).
+/// Human-readable report (deterministic bytes); `top_k` rows per ranking
+/// (partitions, hot pages, conflict pairs, slowest transactions).
 std::string format_critical_path(const CritPathAnalysis& a, int top_k = 10);
 
-/// "gemsd.critpath.v1" document (schemas/critpath.schema.json).
-std::string critical_path_json(const CritPathAnalysis& a);
+/// "gemsd.critpath.v1" document (schemas/critpath.schema.json), with the
+/// `top_k` slowest transactions.
+std::string critical_path_json(const CritPathAnalysis& a, int top_k = 10);
 
 }  // namespace gemsd::obs

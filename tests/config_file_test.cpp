@@ -167,6 +167,26 @@ TEST(RunSpec, RejectsNegativeCostsAndNoLogDisks) {
                         "msg_long_instr = 0\nlog_disks = 1\n"));
 }
 
+// A NaN or negative lock-engine service time ran (NaN to an empty run, a
+// negative one with negative service times), and a negative cache size was
+// taken silently; each is rejected at its line, naming the key.
+TEST(RunSpec, RejectsBadLockEngineTimeAndNegativeCachePages) {
+  expect_rejected("[system]\nlock_engine_us = nan\n",
+                  "lock_engine_us must be >= 0");
+  expect_rejected("[system]\nlock_engine_us = -500\n",
+                  "lock_engine_us must be >= 0");
+  for (const char* field :
+       {"disk_cache_pages", "gem_cache_pages", "cache_pages"}) {
+    const std::string key = std::string(field) + ".BRANCH/TELLER";
+    expect_rejected("[system]\n" + key + " = -5\n", key + " must be >= 0");
+    expect_rejected("[partition.BRANCH/TELLER]\n" + std::string(field) +
+                        " = -5\n",
+                    key + " must be >= 0");
+  }
+  EXPECT_NO_THROW(parse("[system]\nlock_engine_us = 0\n"
+                        "disk_cache_pages.BRANCH/TELLER = 0\n"));
+}
+
 TEST(RunSpec, ShippedSpecsParse) {
   // Every spec in specs/ must stay in sync with the parser.
   std::vector<std::filesystem::path> specs;

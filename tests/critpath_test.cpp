@@ -1,8 +1,8 @@
 // Critical-path profiler (src/obs/critpath.*): blocking-chain attribution on
-// synthetic recorder streams, reconciliation against traced response times on
-// real GEM and PCL runs, the Chrome-trace import round trip (flows and
-// counters included), the --trace-filter recording mask, and the per-phase
-// percentile export.
+// synthetic recorder streams, the slowest-first transaction order,
+// reconciliation against traced response times on real GEM and PCL runs, the
+// Chrome-trace import round trip (flows and counters included), the
+// --trace-filter recording mask, and the per-phase percentile export.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -133,6 +133,60 @@ TEST(CritPath, GapsClassifyAsBackoffMessageOrOther) {
   EXPECT_NEAR(an.total.msg_s, 3.0, 1e-12);
   EXPECT_NEAR(an.total.other_s, 0.5, 1e-12);
   EXPECT_NEAR(an.total.total_s(), 10.0, 1e-12);
+}
+
+// The slowest-first list replaces the per-commit top-K log: response
+// descending, ties broken by arrival and then by id, in the report and in
+// the JSON document alike.
+TEST(CritPath, SlowestFirstWithTiesByArrivalThenId) {
+  obs::TraceRecorder rec(64);
+  // (node, seq, arrival, response): two 4 s ties at different arrivals, and
+  // two 3 s ties at the same arrival, recorded out of order on purpose.
+  const struct {
+    int node;
+    std::uint64_t seq;
+    double arrival, response;
+  } txns[] = {{1, 1, 2.0, 3.0}, {0, 2, 5.0, 4.0}, {0, 1, 1.0, 1.0},
+              {1, 2, 1.0, 4.0}, {0, 3, 2.0, 3.0}, {1, 3, 0.0, 6.0}};
+  for (const auto& t : txns) {
+    const std::uint64_t id = tid(t.node, t.seq);
+    rec.span(obs::TraceName::kCpu, static_cast<std::int16_t>(t.node), id,
+             t.arrival, t.arrival + t.response, 0.0);
+    rec.span(obs::TraceName::kTxn, static_cast<std::int16_t>(t.node), id,
+             t.arrival, t.arrival + t.response);
+  }
+  const obs::CritPathAnalysis an = obs::critical_path(rec.snapshot(), 0);
+  const std::uint64_t want[] = {tid(1, 3), tid(1, 2), tid(0, 2),
+                                tid(0, 3), tid(1, 1), tid(0, 1)};
+  ASSERT_EQ(an.paths.size(), 6u);
+  for (std::size_t i = 0; i < an.paths.size(); ++i) {
+    EXPECT_EQ(an.paths[i].id, want[i]) << "rank " << i;
+  }
+  EXPECT_DOUBLE_EQ(an.paths[0].response_s, 6.0);
+  EXPECT_EQ(an.paths[0].node, 1);
+  EXPECT_NEAR(an.paths[0].path.cpu_s, 6.0, 1e-12);
+
+  // The JSON carries the top K of the same order.
+  obs::JsonValue doc;
+  std::string err;
+  ASSERT_TRUE(obs::json_parse(obs::critical_path_json(an, 3), doc, err))
+      << err;
+  const obs::JsonValue* slowest = doc.find("slowest");
+  ASSERT_TRUE(slowest && slowest->is_array());
+  ASSERT_EQ(slowest->arr.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(static_cast<std::uint64_t>(slowest->arr[i].find("id")->num),
+              want[i]);
+  }
+  // And so does the report.
+  const std::string report = obs::format_critical_path(an, 2);
+  const auto row = [&report](std::uint64_t id) {
+    return report.find("\n  " + std::to_string(id) + " ");
+  };
+  ASSERT_NE(row(want[0]), std::string::npos);
+  ASSERT_NE(row(want[1]), std::string::npos);
+  EXPECT_LT(row(want[0]), row(want[1]));
+  EXPECT_EQ(row(want[2]), std::string::npos);
 }
 
 // -------------------------------------------- reconciliation on real traces

@@ -166,22 +166,6 @@ TEST(TraceRecorder, ClearResetsRingAndDropCounter) {
   EXPECT_DOUBLE_EQ(events[0].t, 9.0);
 }
 
-TEST(SlowTxnLog, KeepsKSlowestInDeterministicOrder) {
-  obs::SlowTxnLog log(3);
-  for (int i = 0; i < 10; ++i) {
-    obs::SlowTxn t;
-    t.id = static_cast<std::uint64_t>(i);
-    t.arrival = static_cast<double>(i);
-    t.response = static_cast<double>((i * 7) % 10);  // 0,7,4,1,8,5,2,9,6,3
-    log.add(t);
-  }
-  const auto slowest = log.sorted();
-  ASSERT_EQ(slowest.size(), 3u);
-  EXPECT_DOUBLE_EQ(slowest[0].response, 9.0);
-  EXPECT_DOUBLE_EQ(slowest[1].response, 8.0);
-  EXPECT_DOUBLE_EQ(slowest[2].response, 7.0);
-}
-
 // ------------------------------------------------------------- trace export
 
 TEST(ChromeTrace, GoldenSnippet) {
@@ -282,7 +266,7 @@ TEST(Fingerprint, ObsSettingsDoNotChangeConfigIdentity) {
   b.obs.trace = true;
   b.obs.timeseries = true;
   b.obs.resources = true;
-  b.obs.slow_k = 10;
+  b.obs.audit = true;
   EXPECT_EQ(obs::config_hash(a), obs::config_hash(b));
 
   SystemConfig c = a;
@@ -316,7 +300,6 @@ TEST(Observation, DisabledRunRecordsNoEvents) {
   EXPECT_EQ(r.telemetry->events_dropped, 0u);
   EXPECT_FALSE(r.telemetry->timeseries);
   EXPECT_FALSE(r.telemetry->resources);
-  EXPECT_TRUE(r.telemetry->slowest.empty());
   // The detail dump is always collected.
   EXPECT_FALSE(r.telemetry->detail.empty());
 }
@@ -332,7 +315,6 @@ TEST(Observation, DoesNotPerturbTheSimulation) {
   observed.obs.timeseries = true;
   observed.obs.timeseries_window = 0.25;
   observed.obs.resources = true;
-  observed.obs.slow_k = 5;
 
   const RunResult a = run_debit_credit(plain);
   const RunResult b = run_debit_credit(observed);
@@ -355,7 +337,6 @@ TEST(Observation, DoesNotPerturbTheSimulation) {
   EXPECT_FALSE(b.telemetry->events.empty());
   EXPECT_TRUE(b.telemetry->timeseries);
   EXPECT_TRUE(b.telemetry->resources);
-  EXPECT_FALSE(b.telemetry->slowest.empty());
 }
 
 // The time-series windows carry the population gauges: the series spans
@@ -414,7 +395,6 @@ TEST(Observation, TraceIsBitIdenticalAtAnyJobCount) {
   cfgs[1].obs.trace_capacity = 1 << 16;
   cfgs[1].obs.timeseries = true;
   cfgs[1].obs.timeseries_window = 0.25;
-  cfgs[1].obs.slow_k = 5;
 
   const std::vector<RunResult> serial = SweepRunner(1).run_debit_credit(cfgs);
   const std::vector<RunResult> parallel = SweepRunner(4).run_debit_credit(cfgs);

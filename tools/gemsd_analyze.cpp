@@ -1,24 +1,21 @@
 // gemsd_analyze — interpret the observability layer's outputs:
 //
 //   gemsd_analyze <trace.json> [--results=FILE] [--run=I] [--top=K]
-//                 [--tolerance=T]
-//       Contention attribution from a "gemsd.trace.v1" Chrome trace: per-node
-//       phase buckets, hottest pages, lock-conflict pairs, and a wait-for
-//       graph replay with cycle detection. With --results, the attribution is
-//       cross-checked against run I of a "gemsd.results.v1" document (phase
-//       buckets must reconcile with breakdown_ms within the tolerance, the
-//       replayed cycle count with the deadlock counter); a mismatch on a
-//       complete trace (no ring drops) exits 1.
-//
-//   gemsd_analyze <trace.json> --critical-path[=FILE] [--top=K]
-//       Critical-path profile instead of the attribution report: every second
-//       of each committed transaction's response time classified (lock waits
+//                 [--tolerance=T] [--critical-path=FILE]
+//       One replay of a "gemsd.trace.v1" Chrome trace: every second of each
+//       committed transaction's response time classified (lock waits
 //       resolved to the holder's concurrent activity, message gaps, restart
-//       backoff) plus tail cohorts from the response-time percentiles. With
-//       =FILE the "gemsd.critpath.v1" document is also written (validate with
-//       gemsd_validate schemas/critpath.schema.json). On a complete trace
-//       (no ring drops) fewer than 99% of transactions reconciling within 1%
-//       of their traced response exits 1.
+//       backoff), tail cohorts from the response-time percentiles, per-node
+//       and per-partition sums, the hottest pages, lock-conflict pairs, a
+//       wait-for graph replay with cycle detection and the K slowest
+//       transactions. On a complete trace (no ring drops) fewer than 99% of
+//       transactions reconciling within 1% of their traced response exits 1.
+//       With --results, the replay is also cross-checked against run I of a
+//       "gemsd.results.v1" document (phase sums must reconcile with
+//       breakdown_ms within the tolerance, the replayed cycle count with the
+//       deadlock counter); a mismatch on a complete trace exits 1.
+//       --critical-path=FILE also writes the "gemsd.critpath.v1" document
+//       (validate with gemsd_validate schemas/critpath.schema.json).
 //
 //   gemsd_analyze --compare <baseline.json> <candidate.json> [--tolerance=T]
 //       Diff two results documents run by run (matched on config hash +
@@ -85,18 +82,20 @@ bool load_json(const std::string& path, gemsd::obs::JsonValue& out) {
   return true;
 }
 
-int usage(const gemsd::FlagTable& table) {
-  std::fprintf(
-      stderr,
-      "usage: gemsd_analyze <trace.json> [--results=FILE] [--run=I]\n"
-      "                     [--top=K] [--tolerance=T]\n"
-      "       gemsd_analyze <trace.json> --critical-path[=FILE] [--top=K]\n"
-      "       gemsd_analyze --compare <baseline.json> <candidate.json>\n"
-      "                     [--tolerance=T]\n"
-      "       gemsd_analyze --bottleneck[=FILE] [<resources.json>]\n"
-      "       gemsd_analyze --timeseries <timeseries.json> [--csv=FILE]\n"
-      "       gemsd_analyze --memory-budget=BYTES <results.json>\n\n%s",
-      gemsd::flag_usage(table).c_str());
+std::string usage(const gemsd::FlagTable& table) {
+  return "usage: gemsd_analyze <trace.json> [--results=FILE] [--run=I]\n"
+         "                     [--top=K] [--tolerance=T] "
+         "[--critical-path=FILE]\n"
+         "       gemsd_analyze --compare <baseline.json> <candidate.json>\n"
+         "                     [--tolerance=T]\n"
+         "       gemsd_analyze --bottleneck[=FILE] [<resources.json>]\n"
+         "       gemsd_analyze --timeseries <timeseries.json> [--csv=FILE]\n"
+         "       gemsd_analyze --memory-budget=BYTES <results.json>\n\n" +
+         gemsd::flag_usage(table);
+}
+
+int bad_usage(const gemsd::FlagTable& table) {
+  std::fputs(usage(table).c_str(), stderr);
   return 2;
 }
 
@@ -151,7 +150,6 @@ int main(int argc, char** argv) {
 
   std::string trace_path, results_path;
   bool compare = false;
-  bool critpath = false;
   bool timeseries = false;
   bool bottleneck = false;
   double memory_budget = 0.0;  // > 0: --memory-budget mode
@@ -161,6 +159,7 @@ int main(int argc, char** argv) {
   int run_index = 0;
   int top_k = 10;
   double tolerance = -1.0;  // mode-specific default
+  bool help = false;
 
   using K = Flag::Kind;
   const FlagTable table = {
@@ -175,14 +174,10 @@ int main(int argc, char** argv) {
       {"--memory-budget", K::Double, "BYTES",
        "peak-RSS gate over a results document", &memory_budget, 0.0},
       {"--csv", K::String, "FILE", "per-window time-series CSV", &csv_file},
-      {.name = "--critical-path",
-       .kind = K::OptFile,
-       .meta = "FILE",
-       .help = "critical-path profile (FILE: gemsd.critpath.v1 JSON)",
-       .target = &critpath_file,
-       .also = [&critpath] { critpath = true; }},
+      {"--critical-path", K::String, "FILE",
+       "also write the gemsd.critpath.v1 document", &critpath_file},
       {"--results", K::String, "FILE",
-       "results document to cross-check the attribution with",
+       "results document to cross-check the trace replay with",
        &results_path},
       {"--run", K::Int, "I", "which run of --results (default 0)",
        &run_index},
@@ -190,24 +185,29 @@ int main(int argc, char** argv) {
       {"--tolerance", K::Double, "T",
        "relative tolerance (default 0.05 for --compare, else 0.01)",
        &tolerance},
+      {"--help", K::Switch, "", "print this usage and exit (also -h)", &help},
   };
   std::vector<std::string> files;
   if (const std::string err =
           parse_flags({argv + 1, argv + argc}, table, &files);
       !err.empty()) {
     std::fprintf(stderr, "error: %s\n", err.c_str());
-    return usage(table);
+    return bad_usage(table);
+  }
+  if (help) {
+    std::fputs(usage(table).c_str(), stdout);
+    return 0;
   }
 
   if (compare) {
-    if (files.size() != 2) return usage(table);
+    if (files.size() != 2) return bad_usage(table);
     return run_compare(files[0], files[1],
                        tolerance < 0.0 ? 0.05 : tolerance);
   }
-  if (files.size() > 1) return usage(table);
+  if (files.size() > 1) return bad_usage(table);
   if (!files.empty()) trace_path = files.front();
   if (!bottleneck_file.empty()) trace_path = bottleneck_file;
-  if (trace_path.empty()) return usage(table);
+  if (trace_path.empty()) return bad_usage(table);
   if (memory_budget > 0.0) return run_memory_budget(trace_path, memory_budget);
   if (tolerance < 0.0) tolerance = 0.01;
 
@@ -278,6 +278,30 @@ int main(int argc, char** argv) {
     return rep.drifting ? 1 : 0;
   }
 
+  // The --results run to cross-check, picked before the replay runs.
+  obs::JsonValue results;
+  const obs::JsonValue* metrics = nullptr;
+  if (!results_path.empty()) {
+    if (!load_json(results_path, results)) return 2;
+    const obs::JsonValue* runs = results.find("runs");
+    if (!runs || !runs->is_array() || runs->arr.empty()) {
+      std::fprintf(stderr, "error: %s: no runs\n", results_path.c_str());
+      return 2;
+    }
+    if (run_index < 0 ||
+        static_cast<std::size_t>(run_index) >= runs->arr.size()) {
+      std::fprintf(stderr,
+                   "error: --run=%d is out of range: %s has %zu runs\n",
+                   run_index, results_path.c_str(), runs->arr.size());
+      return 2;
+    }
+    metrics = runs->arr[static_cast<std::size_t>(run_index)].find("metrics");
+    if (!metrics) {
+      std::fprintf(stderr, "error: %s: run %d has no metrics\n",
+                   results_path.c_str(), run_index);
+      return 2;
+    }
+  }
 
   obs::JsonValue doc;
   if (!load_json(trace_path, doc)) return 2;
@@ -289,57 +313,23 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  if (critpath) {
-    const obs::CritPathAnalysis cp = obs::critical_path(events, dropped);
-    std::fputs(obs::format_critical_path(cp, top_k).c_str(), stdout);
-    if (!critpath_file.empty()) {
-      std::ofstream out(critpath_file, std::ios::binary);
-      if (!out) {
-        std::fprintf(stderr, "error: cannot write %s\n",
-                     critpath_file.c_str());
-        return 2;
-      }
-      out << obs::critical_path_json(cp) << "\n";
-      std::printf("wrote %s\n", critpath_file.c_str());
-    }
-    // On a complete trace the per-class seconds must reconcile with the
-    // traced response for (essentially) every transaction; with ring drops
-    // the profile is advisory only.
-    if (dropped == 0 && cp.txns > 0 &&
-        static_cast<double>(cp.txns_within_tol) <
-            0.99 * static_cast<double>(cp.txns)) {
-      std::fprintf(stderr,
-                   "error: only %llu/%llu txns reconcile within 1%%\n",
-                   static_cast<unsigned long long>(cp.txns_within_tol),
-                   static_cast<unsigned long long>(cp.txns));
-      return 1;
-    }
-    return 0;
+  const obs::CritPathAnalysis cp = obs::critical_path(events, dropped);
+  std::fputs(obs::format_critical_path(cp, top_k).c_str(), stdout);
+  int rc = 0;
+  // On a complete trace the per-class seconds must reconcile with the traced
+  // response for (essentially) every transaction; with ring drops the
+  // profile and the cross-checks are advisory only.
+  if (dropped == 0 && cp.txns > 0 &&
+      static_cast<double>(cp.txns_within_tol) <
+          0.99 * static_cast<double>(cp.txns)) {
+    std::fprintf(stderr, "error: only %llu/%llu txns reconcile within 1%%\n",
+                 static_cast<unsigned long long>(cp.txns_within_tol),
+                 static_cast<unsigned long long>(cp.txns));
+    rc = 1;
   }
 
-  const obs::TraceAnalysis analysis = obs::analyze_trace(events, dropped);
-  std::fputs(obs::format_analysis(analysis, top_k).c_str(), stdout);
-
-  int rc = 0;
-  if (!results_path.empty()) {
-    obs::JsonValue results;
-    if (!load_json(results_path, results)) return 2;
-    const obs::JsonValue* runs = results.find("runs");
-    if (!runs || !runs->is_array() || runs->arr.empty()) {
-      std::fprintf(stderr, "error: %s: no runs\n", results_path.c_str());
-      return 2;
-    }
-    const auto idx = static_cast<std::size_t>(run_index < 0 ? 0 : run_index) %
-                     runs->arr.size();
-    const obs::JsonValue* metrics = runs->arr[idx].find("metrics");
-    if (!metrics) {
-      std::fprintf(stderr, "error: %s: run %zu has no metrics\n",
-                   results_path.c_str(), idx);
-      return 2;
-    }
-
-    const obs::Reconciliation rec =
-        obs::reconcile(analysis, *metrics, tolerance);
+  if (metrics) {
+    const obs::Reconciliation rec = obs::reconcile(cp, *metrics, tolerance);
     std::fputs(obs::format_reconciliation(rec).c_str(), stdout);
 
     const auto deadlocks = static_cast<std::uint64_t>(
@@ -348,7 +338,7 @@ int main(int argc, char** argv) {
             : 0.0);
     std::printf("deadlock cross-check: %llu cycles replayed vs %llu counted "
                 "by the simulator\n",
-                static_cast<unsigned long long>(analysis.cycles),
+                static_cast<unsigned long long>(cp.cycles),
                 static_cast<unsigned long long>(deadlocks));
     if (dropped > 0) {
       std::printf("note: %llu events dropped from the ring; cross-checks are "
@@ -356,8 +346,18 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(dropped));
     } else {
       if (!rec.ok) rc = 1;
-      if (analysis.cycles != deadlocks) rc = 1;
+      if (cp.cycles != deadlocks) rc = 1;
     }
+  }
+
+  if (!critpath_file.empty()) {
+    std::ofstream out(critpath_file, std::ios::binary);
+    if (!out) {
+      std::fprintf(stderr, "error: cannot write %s\n", critpath_file.c_str());
+      return 2;
+    }
+    out << obs::critical_path_json(cp, top_k) << "\n";
+    std::printf("wrote %s\n", critpath_file.c_str());
   }
   return rc;
 }

@@ -26,7 +26,6 @@
 int main(int argc, char** argv) {
   using namespace gemsd;
   BenchOptions opt;
-  opt.obs.slow_k = 0;
   opt.no_json = true;
   bool help = false;
   FlagTable table = shared_flags(opt);
